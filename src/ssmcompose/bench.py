@@ -77,8 +77,8 @@ def synthetic_contexts(
     conv_width: int = 4,
     decay_range: tuple[float, float] = (0.9, 0.999),
 ) -> list[ContextState]:
-    """Random composable states.  The default decay range keeps every channel
-    inside the cyclic fast path so the measured cost is the O(n) scheme."""
+    """Random composable states.  The op counts of both weight kernels do not
+    depend on the decay values, so the decay range does not steer the cost."""
     out = []
     for i in range(n):
         decays = tuple(

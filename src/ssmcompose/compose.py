@@ -13,9 +13,8 @@ still a per-channel linear combination sum_k W_k * x_k:
     where e_m is the m-th elementary symmetric polynomial of the n-1 decays
     with A_k excluded (computed by dynamic programming, O(n^3) overall);
   * cyclic rotations only: W_k = (1/n) [1 + sum_{m=1}^{n-1} A_{k+m} ... A_{k+1}]
-    (indices mod n), computable in O(n) with a doubled cumulative product and
-    cumulative sum, falling back to direct products per channel when the
-    cumulative decay underflows the safe range for division.
+    (indices mod n), computed in O(n) per channel by one division-free reverse
+    recurrence over the doubled decay sequence (see _cyclic_weights_1layer).
 
 `soup` (plain averaging) and `piconcat_r` (rotation-averaged re-scans, n model
 calls) are the baselines.  Conv windows are combined by plain averaging in
@@ -41,12 +40,6 @@ from .model import (
     ToyModelParams,
     encode_context,
 )
-
-#: Channels whose total |log decay| exceeds this use the direct O(n^2) cyclic
-#: weight form instead of cumulative-product division.  The fast form computes
-#: differences of cumulative sums whose relative error grows like
-#: eps * exp(|total log decay|), so 12 keeps the worst case near 3e-11.
-CYCLIC_LOG_SAFETY = 12.0
 
 #: Symmetric weights use float binomial coefficients; beyond this they are not
 #: accurate enough for the tolerances this library promises.
@@ -243,52 +236,29 @@ def _symmetric_weights_1layer(decays: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _cyclic_weights_direct(decays: np.ndarray) -> np.ndarray:
-    """Cyclic weights by direct running products, O(n^2).  decays: (n, m)."""
-    n, m = decays.shape
-    weights = np.empty((n, m))
-    for k in range(n):
-        acc = np.ones(m)
-        run = np.ones(m)
-        for s in range(1, n):
-            run = run * decays[(k + s) % n]
-            acc = acc + run
-        OP_COUNTER.add(2 * (n - 1) * m)
-        weights[k] = acc / n
-    OP_COUNTER.add(n * m)
-    return weights
+def _cyclic_weights_1layer(decays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic-group weights for one layer in O(n) per channel.  decays: (n, m).
 
-
-def _cyclic_weights_1layer(decays: np.ndarray, log_decays: np.ndarray) -> np.ndarray:
-    """Cyclic-group weights for one layer in O(n) per channel.
-
-    Doubled cumulative products P_i and their cumulative sums S_i turn each
-    weight into (S[k+n-1] - S[k]) / P[k] + 1, all divided by n.  Channels whose
-    total |log decay| exceeds CYCLIC_LOG_SAFETY would make that division
-    meaningless, so they take the direct product route instead.
+    Over the doubled sequence D = (A_0 .. A_{n-1}, A_0 .. A_{n-1}) the reverse
+    recurrence h[2n-1] = 1, h[i] = 1 + D[i+1] * h[i+1] gives h[k] = sum over
+    s < 2n-k of D[k+1] ... D[k+s].  Any n consecutive factors multiply to
+    P = prod A, so the terms with s >= n are P * h[k+n] and the weights are
+    W_k = (h[k] - P * h[k+n]) / n: no division by a decay, one path for every
+    decay value.  Returns (weights (n, m), h (2n, m)); the trainer's adjoint
+    reads h.
     """
     n, m = decays.shape
-    if n == 1:
-        return np.ones((1, m))
-
-    total_log = log_decays.sum(axis=0)
-    OP_COUNTER.add(log_decays.size)
-    risky = np.abs(total_log) > CYCLIC_LOG_SAFETY
-
     doubled = np.concatenate([decays, decays], axis=0)
-    prod = np.cumprod(doubled, axis=0)  # P_i, 1-based i = row index + 1
-    sums = np.cumsum(prod, axis=0)  # S_i = P_1 + ... + P_i
-    OP_COUNTER.add(2 * doubled.size)
-    weights = np.empty((n, m))
-    for k in range(n):  # 0-based context k corresponds to 1-based i = k + 1
-        i = k + 1
-        window = sums[n + i - 2] - sums[i - 1]  # P_{i+1} + ... + P_{i+n-1}
-        weights[k] = (window / prod[i - 1] + 1.0) / n
-        OP_COUNTER.add(4 * m)
-
-    if risky.any():
-        weights[:, risky] = _cyclic_weights_direct(decays[:, risky])
-    return weights
+    h = np.empty((2 * n, m))
+    h[-1] = 1.0
+    for i in range(2 * n - 2, -1, -1):  # in place: halves the per-step overhead
+        np.multiply(doubled[i + 1], h[i + 1], out=h[i])
+        h[i] += 1.0
+    total = np.prod(decays, axis=0)
+    # One context is its own only rotation: weight exactly 1, not (1 + A) - A.
+    weights = (h[:n] - total * h[n:]) / n if n > 1 else np.ones((1, m))
+    OP_COUNTER.add((2 * (2 * n - 1) + n + 3 * n) * m)  # recurrence, P, weights
+    return weights, h
 
 
 def group_weights(
@@ -320,8 +290,7 @@ def picaso_r_weights(contexts: Sequence[ContextState]) -> CompositionWeights:
         decays = np.stack([c.decay[layer] for c in contexts])
         if decays.min() <= 0.0:
             raise InvalidInputError("cyclic weights require strictly positive decays")
-        log_decays = np.stack([c.log_decay[layer] for c in contexts])
-        per_layer.append(_cyclic_weights_1layer(decays, log_decays))
+        per_layer.append(_cyclic_weights_1layer(decays)[0])
     return CompositionWeights(tuple(per_layer), "picaso_r")
 
 

@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .compose import _cyclic_weights_1layer
 from .errors import InvalidInputError, TrainingDivergedError, UnsupportedConfigError
 from .model import ContextState, TokenSequence, ToyModelParams
 
@@ -121,6 +122,19 @@ def _scan_forward(
     return _ScanCache(tokens, emb, pad, u, gates, drive, xs, x0, win0)
 
 
+def _exclusive_products(values: np.ndarray) -> np.ndarray:
+    """Row t holds d prod(values) / d values[t] = (prefix excl t) * (suffix excl t).
+
+    No divisions, so exactly-zero rows stay harmless.
+    """
+    prefix = np.ones_like(values)
+    suffix = np.ones_like(values)
+    if values.shape[0] > 1:
+        prefix[1:] = np.cumprod(values[:-1], axis=0)
+        suffix[:-1] = np.cumprod(values[1:][::-1], axis=0)[::-1]
+    return prefix * suffix
+
+
 def _scan_backward(
     cache: _ScanCache,
     params: ToyModelParams,
@@ -145,15 +159,7 @@ def _scan_backward(
     d_drive = np.zeros((T, m))
 
     if g_decay is not None:
-        # d prod(G) / d G_t = (prefix excl t) * (suffix excl t); no divisions so
-        # exactly-zero gates stay harmless.
-        prefix = np.ones((T, m))
-        if T > 1:
-            prefix[1:] = np.cumprod(cache.gates[:-1], axis=0)
-        suffix = np.ones((T, m))
-        if T > 1:
-            suffix[:-1] = np.cumprod(cache.gates[1:][::-1], axis=0)[::-1]
-        d_gates += g_decay * prefix * suffix
+        d_gates += g_decay * _exclusive_products(cache.gates)
 
     gx = np.zeros(m)
     if g_final is not None:
@@ -195,40 +201,35 @@ def _scan_backward(
 
 
 # ---------------------------------------------------------------------------
-# Cyclic mixing weights in the differentiable direct form
+# Adjoint of the cyclic mixing weights (forward: compose._cyclic_weights_1layer)
 # ---------------------------------------------------------------------------
 
 
-def _cyclic_mix_forward(decays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (n, m) plus the running products (n, n-1, m) kept for backward."""
-    n, m = decays.shape
-    weights = np.empty((n, m))
-    runs = np.ones((n, max(n - 1, 1), m))
-    for k in range(n):
-        acc = np.ones(m)
-        run = np.ones(m)
-        for s in range(1, n):
-            run = run * decays[(k + s) % n]
-            runs[k, s - 1] = run
-            acc = acc + run
-        weights[k] = acc / n
-    return weights, runs
-
-
 def _cyclic_mix_backward(
-    decays: np.ndarray, runs: np.ndarray, d_weights: np.ndarray
+    decays: np.ndarray, h: np.ndarray, d_weights: np.ndarray
 ) -> np.ndarray:
+    """Gradient of the cyclic weights w.r.t. the n decays, in O(n) per channel.
+
+    Forward: h[i] = 1 + D[i+1] * h[i+1] over the doubled decays D, then
+    W_k = (h[k] - P * h[k+n]) / n with P = prod A.  The adjoint seeds h[k] and
+    h[k+n], runs the recurrence in the opposite direction, folds the gradient
+    of D[j] and D[j+n] onto A_j, and adds the P term through prefix and suffix
+    products.
+    """
     n, m = decays.shape
-    d_decays = np.zeros((n, m))
-    for k in range(n):
-        g_acc = d_weights[k] / n
-        g_run = np.zeros(m)
-        for s in range(n - 1, 0, -1):
-            g_run = g_run + g_acc
-            prev = runs[k, s - 2] if s >= 2 else np.ones(m)
-            d_decays[(k + s) % n] += g_run * prev
-            g_run = g_run * decays[(k + s) % n]
-    return d_decays
+    g = d_weights / n
+    total = np.prod(decays, axis=0)
+    g_h = np.concatenate([g, -total * g], axis=0)
+    doubled = np.concatenate([decays, decays], axis=0)
+    acc = np.empty((2 * n - 1, m))  # acc[i]: total gradient reaching h[i]
+    acc[0] = g_h[0]
+    for i in range(1, 2 * n - 1):
+        np.multiply(doubled[i], acc[i - 1], out=acc[i])
+        acc[i] += g_h[i]
+    d_doubled = np.zeros((2 * n, m))
+    d_doubled[1:] = acc * h[1:]
+    g_total = -(g * h[n:]).sum(axis=0)
+    return d_doubled[:n] + d_doubled[n:] + g_total * _exclusive_products(decays)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +246,7 @@ class _Composition:
     prods: np.ndarray | None  # unclamped gate products
     decays: np.ndarray | None  # clamped
     weights: np.ndarray | None
-    runs: np.ndarray | None
+    h: np.ndarray | None  # cyclic recurrence sums, read by the adjoint
 
 
 def _compose_init(example: TrainExample, params: ToyModelParams) -> _Composition:
@@ -262,12 +263,12 @@ def _compose_init(example: TrainExample, params: ToyModelParams) -> _Composition
     finals = np.stack([c.xs[-1] for c in caches])
     prods = np.stack([np.prod(c.gates, axis=0) for c in caches])
     decays = np.maximum(prods, cfg.decay_floor)
-    weights, runs = _cyclic_mix_forward(decays)
+    weights, h = _cyclic_weights_1layer(decays)
     x_init = np.sum(weights * finals, axis=0)
     tails = np.stack(
         [c.pad[c.tokens.size - 1 : c.tokens.size + w - 1].T for c in caches]
     )
-    return _Composition(x_init, tails.mean(axis=0), caches, finals, prods, decays, weights, runs)
+    return _Composition(x_init, tails.mean(axis=0), caches, finals, prods, decays, weights, h)
 
 
 def _query_loss(
@@ -341,7 +342,7 @@ def _evaluate(
         n = len(comp.ctx_caches)
         d_weights = g_x_init * comp.finals  # (n, m)
         d_finals = g_x_init * comp.weights
-        d_decays = _cyclic_mix_backward(comp.decays, comp.runs, d_weights)
+        d_decays = _cyclic_mix_backward(comp.decays, comp.h, d_weights)
         d_prods = d_decays * (comp.prods > params.config.decay_floor)
         g_tail = g_win_init / n
         for k, cache in enumerate(comp.ctx_caches):

@@ -26,8 +26,11 @@ from ssmcompose import (
     picaso_r_weights,
     picaso_s_weights,
 )
-from ssmcompose.compose import GroupKind, PermutationGroup, _cyclic_weights_direct, group_weights
+from ssmcompose.bench import synthetic_contexts
+from ssmcompose.compose import OP_COUNTER, GroupKind, PermutationGroup, group_weights
+from ssmcompose.corpus import generate_corpus
 from ssmcompose.model import FORWARD_CALLS, ContextState
+from ssmcompose.pipeline import REFERENCE_CONFIG
 
 
 def scalar_context(x, decay, cid="c"):
@@ -57,6 +60,35 @@ def random_contexts(rng, n, m=5, layers=1, decay_range=(0.05, 0.999)):
             )
         )
     return out
+
+
+def cyclic_weights_direct(decays):
+    """Oracle: cyclic weights by direct running products, O(n^2).  decays: (n, m)."""
+    n, m = decays.shape
+    weights = np.empty((n, m))
+    for k in range(n):
+        acc = np.ones(m)
+        run = np.ones(m)
+        for s in range(1, n):
+            run = run * decays[(k + s) % n]
+            acc = acc + run
+        weights[k] = acc / n
+    return weights
+
+
+def decay_contexts(decays):
+    """Single-layer contexts carrying the rows of `decays` (n, m) as decays."""
+    return [
+        ContextState(
+            context_id=str(i),
+            token_count=1,
+            x_seg=(np.zeros(decays.shape[1]),),
+            decay=(row,),
+            log_decay=(np.log(row),),
+            conv_tail=(np.zeros((2, 2)),),
+        )
+        for i, row in enumerate(decays)
+    ]
 
 
 def caso_mean_over(orderings, contexts):
@@ -273,8 +305,8 @@ class TestPicasoR:
             npt.assert_allclose(compose_picaso_r(rotated).x[0], base, rtol=1e-9)
 
     def test_underflow_channels_fall_back_to_direct_form(self):
-        # One channel's cumulative decay underflows float range; weights must
-        # still match the O(n^2) direct evaluation (and the rotation oracle).
+        # One channel's cumulative decay underflows float range; the recurrence
+        # must still match the O(n^2) direct evaluation.
         rng = np.random.default_rng(8)
         n, m = 12, 4
         decays = rng.uniform(0.3, 0.99, (n, m))
@@ -292,8 +324,36 @@ class TestPicasoR:
                 )
             )
         w = picaso_r_weights(ctxs).per_layer[0]
-        npt.assert_allclose(w, _cyclic_weights_direct(decays), rtol=1e-9)
+        npt.assert_allclose(w, cyclic_weights_direct(decays), rtol=1e-9)
         assert np.isfinite(w).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 32, 64])
+    @pytest.mark.parametrize("decay_range", [(1e-30, 1e-3), (0.999999, 1.0), (1e-30, 1.0)])
+    def test_recurrence_matches_direct_oracle(self, n, decay_range):
+        # Tiny, near-identity and mixed decays all take the one recurrence.
+        rng = np.random.default_rng(n)
+        decays = rng.uniform(*decay_range, (n, 8))
+        w = picaso_r_weights(decay_contexts(decays)).per_layer[0]
+        npt.assert_allclose(w, cyclic_weights_direct(decays), rtol=1e-12)
+
+    def test_op_count_does_not_depend_on_decays(self):
+        # Encoded states (decays ~ 0.005 per context) cost exactly what the
+        # synthetic near-identity decays of the same shape cost.
+        k = 32
+        params = init_params(REFERENCE_CONFIG, seed=0)
+        encoded = [
+            encode_context(item.context_tokens, params, item.doc_id)
+            for item in generate_corpus(seed=3, num_docs=k)
+        ]
+        synthetic = synthetic_contexts(
+            k, REFERENCE_CONFIG.state_dim, 1, np.random.default_rng(3)
+        )
+        counts = []
+        for ctxs in (encoded, synthetic):
+            OP_COUNTER.reset()
+            picaso_r_weights(ctxs)
+            counts.append(OP_COUNTER.count)
+        assert counts[0] == counts[1]
 
     def test_rejects_nonpositive_decay(self):
         c = scalar_context(1.0, 0.5)

@@ -15,11 +15,15 @@ from ssmcompose import (
     cross_entropy,
     encode_context,
     init_params,
+    picaso_r_weights,
     zero_state,
 )
+from ssmcompose.compose import _cyclic_weights_1layer
 from ssmcompose.trainer import (
     RetrievedContext,
     TrainExample,
+    _compose_init,
+    _cyclic_mix_backward,
     grad_bp2c,
     grad_bptc,
     gradient_check,
@@ -131,6 +135,44 @@ class TestGradients:
         _, g1 = grad_bptc(ex, params)
         _, g2 = grad_bp2c(ex, params)
         assert np.abs(g1["layer0.w_in"] - g2["layer0.w_in"]).max() > 0.0
+
+
+class TestCyclicMix:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_backward_matches_finite_differences(self, n):
+        # The weights are multilinear in the decays, so central differences are
+        # exact up to rounding at any step, even across a floor-clamped channel.
+        cfg, _ = toy()
+        rng = np.random.default_rng(20 + n)
+        m = 4
+        decays = rng.uniform(0.05, 1.0, (n, m))
+        decays[:, 0] = cfg.decay_floor
+        d_weights = rng.normal(size=(n, m))
+        _, h = _cyclic_weights_1layer(decays)
+        analytic = _cyclic_mix_backward(decays, h, d_weights)
+
+        def loss(d):
+            return float(np.sum(d_weights * _cyclic_weights_1layer(d)[0]))
+
+        step = 1e-6
+        fd = np.empty((n, m))
+        for idx in np.ndindex(n, m):
+            bumped = decays.copy()
+            bumped[idx] += step
+            plus = loss(bumped)
+            bumped[idx] -= 2 * step
+            fd[idx] = (plus - loss(bumped)) / (2 * step)
+        npt.assert_allclose(analytic, fd, rtol=1e-7, atol=1e-8)
+
+    def test_forward_weights_are_the_compose_kernel(self):
+        # Bitwise: the trainer mixes with the same kernel, on the same decays,
+        # that compose_picaso_r applies to the encoded context states.
+        _, params = toy()
+        ex = make_example(np.random.default_rng(9), n_contexts=5)
+        comp = _compose_init(ex, params)
+        states = [encode_context(rc.tokens, params) for rc in ex.contexts]
+        npt.assert_array_equal(comp.weights, _cyclic_weights_1layer(comp.decays)[0])
+        npt.assert_array_equal(comp.weights, picaso_r_weights(states).per_layer[0])
 
 
 class TestTrain:
