@@ -17,15 +17,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ssmcompose.corpus import composition_examples, generate_corpus
+from ssmcompose.corpus import generate_corpus
 from ssmcompose.evaluate import evaluate_methods, sign_test
-from ssmcompose.pipeline import (
-    PRETRAIN_SCHEDULE,
-    REFERENCE_CONFIG,
-    build_store,
-    pretrain_reference,
-)
-from ssmcompose.trainer import train
+from ssmcompose.pipeline import PRETRAIN_SCHEDULE, build_store, prepare_reference_models
 
 
 def main() -> int:
@@ -43,14 +37,13 @@ def main() -> int:
     # already visible; the full schedule gives the margins the tests assert.
     schedule = ((6000, 0.5), (6000, 0.2), (12000, 0.1)) if args.quick else PRETRAIN_SCHEDULE
 
-    print(f"pretraining reference model ({sum(s for s, _ in schedule)} steps)...")
-    p_lm = pretrain_reference(train_items, REFERENCE_CONFIG, schedule=schedule)
+    print(
+        f"preparing reference models ({sum(s for s, _ in schedule)} pretraining steps, "
+        "then the bptc and bp2c fine-tunes)..."
+    )
+    models = prepare_reference_models(train_items, schedule)
+    p_lm, p_bptc, p_bp2c = models.pretrained, models.bptc, models.bp2c
     print(f"  done in {time.time() - t0:.0f}s")
-
-    train_store = build_store(train_items, p_lm)
-    examples = composition_examples(train_items, train_store, seed=31)
-    p_bptc = train(examples, p_lm, steps=500, lr=0.1, objective="bptc", seed=41).params
-    p_bp2c = train(examples, p_lm, steps=500, lr=0.1, objective="bp2c", seed=41).params
 
     def eval_model(params, methods):
         store = build_store(eval_items, params)

@@ -3,8 +3,6 @@
 from .compose import (
     ComposedState,
     CompositionWeights,
-    GroupKind,
-    PermutationGroup,
     caso_distance_bound,
     compose_caso,
     compose_picaso_r,
@@ -13,7 +11,6 @@ from .compose import (
     compose_soup,
     esp_all,
     esp_merge,
-    group_weights,
     picaso_r_weights,
     picaso_s_weights,
 )

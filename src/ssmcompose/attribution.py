@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compose import compose_caso, compose_picaso_r, compose_picaso_s, compose_soup
+from .compose import METHODS
 from .errors import InvalidInputError
 from .model import (
     LayerState,
@@ -32,7 +32,7 @@ from .model import (
 )
 from .trainer import RetrievedContext
 
-LOO_METHODS = ("concat", "soup", "caso", "picaso_r", "picaso_s")
+LOO_METHODS = ("concat", *METHODS)
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,7 @@ def _composed_states(
     states = [c.state for c in contexts]
     if any(s is None for s in states):
         raise InvalidInputError(f"{method} attribution needs pre-encoded context states")
-    if method == "soup":
-        return compose_soup(states).to_layer_states()
-    if method == "caso":
-        return compose_caso(states).to_layer_states()
-    if method == "picaso_r":
-        return compose_picaso_r(states).to_layer_states()
-    if method == "picaso_s":
-        return compose_picaso_s(states).to_layer_states()
-    raise InvalidInputError(f"unknown composition method: {method}")
+    return METHODS[method](states).to_layer_states()
 
 
 def leave_one_in(

@@ -14,33 +14,15 @@ from __future__ import annotations
 import io
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .compose import (
-    OP_COUNTER,
-    compose_caso,
-    compose_picaso_r,
-    compose_picaso_s,
-    compose_piconcat_r,
-    compose_soup,
-    picaso_r_weights,
-    picaso_s_weights,
-)
+from .compose import METHODS, OP_COUNTER, WEIGHTS, compose_piconcat_r
 from .errors import InvalidInputError
 from .model import FORWARD_CALLS, ContextState, TokenSequence, ToyModelConfig, init_params
 
 BENCH_CSV_SCHEMA_VERSION = 1
-
-BENCH_TARGETS: dict[str, Callable] = {
-    "picaso_r_weights": picaso_r_weights,
-    "picaso_s_weights": picaso_s_weights,
-    "caso": compose_caso,
-    "soup": compose_soup,
-    "picaso_r": compose_picaso_r,
-    "picaso_s": compose_picaso_s,
-}
 
 
 @dataclass(frozen=True)
@@ -90,7 +72,6 @@ def synthetic_contexts(
                 token_count=1,
                 x_seg=tuple(rng.normal(size=state_dim) for _ in range(num_layers)),
                 decay=decays,
-                log_decay=tuple(np.log(d) for d in decays),
                 conv_tail=tuple(
                     rng.normal(size=(embed_dim, conv_width)) for _ in range(num_layers)
                 ),
@@ -113,17 +94,17 @@ def run_bench(
     num_layers: int = 1,
     repeats: int = 3,
     seed: int = 0,
-    include_piconcat: bool = True,
 ) -> BenchReport:
     if any(n < 2 for n in n_list):
         raise InvalidInputError("bench requires n >= 2")
     rng = np.random.default_rng(seed)
     report = BenchReport()
     ops_by_target: dict[str, list[int]] = {}
+    targets = {f"{name}_weights": fn for name, fn in WEIGHTS.items()} | METHODS
 
     for n in n_list:
         contexts = synthetic_contexts(n, state_dim, num_layers, rng)
-        for target, fn in BENCH_TARGETS.items():
+        for target, fn in targets.items():
             OP_COUNTER.reset()
             FORWARD_CALLS.reset()
             fn(contexts)
@@ -137,23 +118,22 @@ def run_bench(
             report.rows.append(BenchRow(target, n, best, ops, calls))
             ops_by_target.setdefault(target, []).append(ops)
 
-        if include_piconcat:
-            cfg = ToyModelConfig(
-                embed_dim=4, state_dim=state_dim, num_layers=num_layers, conv_width=4
-            )
-            params = init_params(cfg, seed=seed)
-            seqs = [
-                TokenSequence(rng.integers(0, 256, int(rng.integers(2, 6))))
-                for _ in range(n)
-            ]
-            FORWARD_CALLS.reset()
-            OP_COUNTER.reset()
-            t0 = time.perf_counter()
-            compose_piconcat_r(seqs, params)
-            elapsed = time.perf_counter() - t0
-            report.rows.append(
-                BenchRow("piconcat_r", n, elapsed, OP_COUNTER.count, FORWARD_CALLS.count)
-            )
+        cfg = ToyModelConfig(
+            embed_dim=4, state_dim=state_dim, num_layers=num_layers, conv_width=4
+        )
+        params = init_params(cfg, seed=seed)
+        seqs = [
+            TokenSequence(rng.integers(0, 256, int(rng.integers(2, 6))))
+            for _ in range(n)
+        ]
+        FORWARD_CALLS.reset()
+        OP_COUNTER.reset()
+        t0 = time.perf_counter()
+        compose_piconcat_r(seqs, params)
+        elapsed = time.perf_counter() - t0
+        report.rows.append(
+            BenchRow("piconcat_r", n, elapsed, OP_COUNTER.count, FORWARD_CALLS.count)
+        )
 
     for target, ops in ops_by_target.items():
         report.slopes[target] = loglog_slope(list(n_list), ops)

@@ -15,14 +15,7 @@ import numpy as np
 
 from .attribution import LOO_METHODS, leave_one_in, leave_one_out
 from .bench import run_bench
-from .compose import (
-    compose_caso,
-    compose_picaso_r,
-    compose_picaso_s,
-    compose_soup,
-    picaso_r_weights,
-    picaso_s_weights,
-)
+from .compose import METHODS, WEIGHTS
 from .corpus import composition_examples, generate_corpus, read_jsonl, write_jsonl
 from .errors import ConfigMismatchError, InvalidInputError, SSMComposeError
 from .evaluate import METHOD_CHOICES, evaluate_methods
@@ -33,15 +26,9 @@ from .model import (
     load_params,
     save_params,
 )
+from .pipeline import build_store
 from .store import StateStore, default_store_path, model_fingerprint, save_composed_state
 from .trainer import train
-
-COMPOSE_METHODS = {
-    "caso": compose_caso,
-    "soup": compose_soup,
-    "picaso_s": compose_picaso_s,
-    "picaso_r": compose_picaso_r,
-}
 
 
 def _load_model(args) -> "ToyModelParams":
@@ -79,10 +66,7 @@ def cmd_gen_corpus(args) -> int:
 
 def cmd_build_db(args) -> int:
     params = _load_model(args)
-    items = read_jsonl(args.corpus)
-    store = StateStore.create(params)
-    for it in items:
-        store.insert(it.context_tokens, params)
+    store = build_store(read_jsonl(args.corpus), params)
     store.save(_store_path(args))
     print(f"stored {len(store)} context states in {_store_path(args)}")
     return 0
@@ -91,10 +75,10 @@ def cmd_build_db(args) -> int:
 def cmd_compose(args) -> int:
     store = StateStore.open(_store_path(args))
     states = store.load_states(args.ids)
-    composed = COMPOSE_METHODS[args.method](states)
+    composed = METHODS[args.method](states)
     save_composed_state(args.out, composed, store.config)
     if args.verbose:
-        weights_fn = {"picaso_s": picaso_s_weights, "picaso_r": picaso_r_weights}.get(args.method)
+        weights_fn = WEIGHTS.get(args.method)
         if weights_fn is not None:
             w = weights_fn(states)
             for layer, mat in enumerate(w.per_layer):
@@ -146,9 +130,7 @@ def cmd_bench(args) -> int:
 def cmd_train(args) -> int:
     params = _load_model(args)
     items = read_jsonl(args.corpus)
-    store = StateStore.create(params)
-    for it in items:
-        store.insert(it.context_tokens, params)
+    store = build_store(items, params)
     examples = composition_examples(items, store, seed=args.seed, max_contexts=args.max_contexts)
     result = train(
         examples, params, steps=args.steps, lr=args.lr, objective=args.objective, seed=args.seed
@@ -219,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compose", help="compose stored states into a state file")
     p.add_argument("--store")
-    p.add_argument("--method", choices=sorted(COMPOSE_METHODS), default="picaso_r")
+    p.add_argument("--method", choices=sorted(METHODS), default="picaso_r")
     p.add_argument("--out", required=True)
     p.add_argument("--verbose", action="store_true")
     p.add_argument("ids", nargs="+")

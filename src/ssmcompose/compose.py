@@ -26,7 +26,6 @@ asymptotic cost can be measured (see bench module).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,21 +59,6 @@ class OpCounter:
 
 
 OP_COUNTER = OpCounter()
-
-
-class GroupKind(enum.Enum):
-    SYMMETRIC = "symmetric"
-    CYCLIC = "cyclic"
-
-
-@dataclass(frozen=True)
-class PermutationGroup:
-    kind: GroupKind
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidInputError("group order requires n >= 1")
 
 
 @dataclass(frozen=True)
@@ -261,17 +245,6 @@ def _cyclic_weights_1layer(decays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return weights, h
 
 
-def group_weights(
-    contexts: Sequence[ContextState], group: PermutationGroup
-) -> CompositionWeights:
-    """Weights for averaging caso over the given group of orderings."""
-    if group.n != len(contexts):
-        raise InvalidInputError("group order must match the number of contexts")
-    if group.kind is GroupKind.SYMMETRIC:
-        return picaso_s_weights(contexts)
-    return picaso_r_weights(contexts)
-
-
 def picaso_s_weights(contexts: Sequence[ContextState]) -> CompositionWeights:
     """Per-context diagonal weights averaging caso over every ordering."""
     L, _ = _validate(contexts)
@@ -315,6 +288,18 @@ def compose_picaso_s(contexts: Sequence[ContextState]) -> ComposedState:
 def compose_picaso_r(contexts: Sequence[ContextState]) -> ComposedState:
     """Rotation-invariant composition over the cyclic group."""
     return _weighted_compose(contexts, picaso_r_weights(contexts), "picaso_r")
+
+
+#: The methods that mix stored states with no model call, by name.
+METHODS = {
+    "caso": compose_caso,
+    "soup": compose_soup,
+    "picaso_r": compose_picaso_r,
+    "picaso_s": compose_picaso_s,
+}
+
+#: The per-context weights behind the group-averaged methods.
+WEIGHTS = {"picaso_r": picaso_r_weights, "picaso_s": picaso_s_weights}
 
 
 def compose_piconcat_r(

@@ -58,15 +58,22 @@ def generate_corpus(seed: int, num_docs: int) -> list[CorpusItem]:
     if num_docs < 1:
         raise InvalidInputError("num_docs must be >= 1")
     rng = np.random.default_rng(seed)
-    used: set[str] = {"the", "code", "is"}
+    used: set[str] = set()
+    prefixes: set[str] = set()  # every non-empty prefix of a used word
+
+    def use(w: str) -> None:
+        used.add(w)
+        prefixes.update(w[:i] for i in range(1, len(w) + 1))
+
+    for reserved in ("the", "code", "is"):
+        use(reserved)
 
     def fresh_word(letters: np.ndarray, lo: int, hi: int) -> str:
         while True:
             w = bytes(rng.choice(letters, int(rng.integers(lo, hi))).tolist()).decode()
-            if w not in used and not any(
-                u.startswith(w) or w.startswith(u) for u in used
-            ):
-                used.add(w)
+            # Reject w if it is a prefix of a used word or a used word is a prefix of it.
+            if w not in prefixes and not any(w[:i] in used for i in range(1, len(w))):
+                use(w)
                 return w
 
     items = []
@@ -102,13 +109,17 @@ def write_jsonl(items: Sequence[CorpusItem], path: str) -> None:
 
 
 def read_jsonl(path: str) -> list[CorpusItem]:
+    try:
+        with open(path) as f:
+            lines = f.readlines()
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read corpus: {exc}") from None
     items = []
-    with open(path) as f:
-        for line in f:
-            row = json.loads(line)
-            items.append(
-                CorpusItem(row["id"], row["context_text"], row["query"], row["continuation"])
-            )
+    for line in lines:
+        row = json.loads(line)
+        items.append(
+            CorpusItem(row["id"], row["context_text"], row["query"], row["continuation"])
+        )
     return items
 
 
@@ -127,13 +138,14 @@ def lm_examples(items: Sequence[CorpusItem], seed: int) -> list[TrainExample]:
     """
     rng = np.random.default_rng(seed)
     out = []
+    n_others = len(items) - 1
     for idx, it in enumerate(items):
         mode = rng.random()
-        others = [j for j in range(len(items)) if j != idx]
 
         def pick(count):
-            chosen = rng.choice(len(others), size=min(count, len(others)), replace=False)
-            return [items[others[int(p)]].context_text for p in chosen]
+            # Draw from the other items: index p skips over idx.
+            chosen = rng.choice(n_others, size=min(count, n_others), replace=False)
+            return [items[int(p) + (int(p) >= idx)].context_text for p in chosen]
 
         if mode < 0.6:
             docs = [it.context_text] + pick(int(rng.integers(0, 4)))

@@ -23,14 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compose import (
-    OP_COUNTER,
-    compose_caso,
-    compose_picaso_r,
-    compose_picaso_s,
-    compose_piconcat_r,
-    compose_soup,
-)
+from .compose import METHODS, OP_COUNTER, compose_caso, compose_piconcat_r
 from .corpus import CorpusItem
 from .errors import ConfigMismatchError, InvalidInputError
 from .model import (
@@ -114,16 +107,10 @@ def compose_init_states(
         for cid in ids_asc[1:]:
             _, current = forward(store.entry(cid).tokens, current, params)
         return current
-    if method == "soup":
-        return compose_soup(states_asc).to_layer_states()
-    if method == "caso":
-        return compose_caso(states_asc).to_layer_states()
+    if method in METHODS:
+        return METHODS[method](states_asc).to_layer_states()
     if method == "caso_worst":
         return compose_caso(list(reversed(states_asc))).to_layer_states()
-    if method == "picaso_s":
-        return compose_picaso_s(states_asc).to_layer_states()
-    if method == "picaso_r":
-        return compose_picaso_r(states_asc).to_layer_states()
     if method == "piconcat_r":
         seqs = store.load_tokens(ids_asc)
         return compose_piconcat_r(seqs, params).to_layer_states()

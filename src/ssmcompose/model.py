@@ -14,6 +14,9 @@ decay is strictly inside (0,1), a whole segment collapses to the pair
 (accumulated state, accumulated elementwise decay product), which is what the
 composition algorithms operate on.
 
+layer_scan is the only implementation of the recurrence: forward,
+encode_context and the trainer's objectives all run it.
+
 Everything is float64 and purely functional: parameters and states are frozen
 after construction, so they can be shared freely across threads.
 """
@@ -199,7 +202,11 @@ def save_params(path: str, params: ToyModelParams) -> None:
 
 
 def load_params(path: str) -> ToyModelParams:
-    with np.load(path) as data:
+    try:
+        archive = np.load(path)
+    except (OSError, ValueError) as exc:  # missing, unreadable or not an archive
+        raise InvalidInputError(f"cannot read model parameters from {path}: {exc}") from None
+    with archive as data:
         config = ToyModelConfig.from_json(bytes(data["config_json"]).decode())
         tensors = {
             key.replace("__", "."): data[key] for key in data.files if key != "config_json"
@@ -262,20 +269,18 @@ def zero_state(config: ToyModelConfig) -> list[LayerState]:
 @dataclass(frozen=True)
 class ContextState:
     """Everything retained about a processed segment: per-layer accumulated state,
-    accumulated elementwise decay (linear, floor-clamped, plus exact log form) and
-    the trailing conv window."""
+    accumulated elementwise decay (floor-clamped) and the trailing conv window."""
 
     context_id: str
     token_count: int
     x_seg: tuple[np.ndarray, ...]  # per layer, (m,)
     decay: tuple[np.ndarray, ...]  # per layer, (m,), in (0, 1]
-    log_decay: tuple[np.ndarray, ...]  # per layer, (m,), unclamped
     conv_tail: tuple[np.ndarray, ...]  # per layer, (d, conv_width)
 
     def __post_init__(self):
         if self.token_count < 1:
             raise InvalidInputError("stored contexts must contain at least one token")
-        for name in ("x_seg", "decay", "log_decay", "conv_tail"):
+        for name in ("x_seg", "decay", "conv_tail"):
             object.__setattr__(self, name, tuple(_frozen(a) for a in getattr(self, name)))
         for dc in self.decay:
             if dc.size and (dc.min() <= 0.0 or dc.max() > 1.0):
@@ -290,10 +295,12 @@ class ContextState:
 
 
 class ScanResult(NamedTuple):
-    outputs: np.ndarray  # (T, d), pre-residual block outputs
     final: LayerState
     seg_decay: np.ndarray  # (m,), clamped at decay_floor
-    seg_log_decay: np.ndarray  # (m,), exact
+    padded: np.ndarray  # (T+w-1, d), conv input: init window columns 1.. then inputs
+    u: np.ndarray  # (T, d), conv output
+    gates: np.ndarray  # (T, m), per-step decays
+    xs: np.ndarray  # (T, m), state after each step
 
 
 def embed(seq: TokenSequence, params: ToyModelParams) -> np.ndarray:
@@ -307,19 +314,14 @@ def layer_scan(
     layer: LayerParams,
     decay_floor: float = 1e-30,
 ) -> ScanResult:
-    """Run one block over `inputs` (T, d) from `init`.
+    """Run one block's recurrence over `inputs` (T, d) from `init`.
 
-    Returns pre-residual outputs, the final LayerState, and the segment's
-    accumulated decay in both linear (clamped below at `decay_floor`) and log
-    form.  T = 0 is the empty product: identity decay, state unchanged.
+    Returns the final LayerState, the segment's accumulated decay (clamped
+    below at `decay_floor`) and the intermediate arrays the trainer's backward
+    pass reads.  The readout is left to the caller.  T = 0 is the empty
+    product: identity decay, state unchanged.
     """
     T, d = inputs.shape
-    m = layer.w_in.shape[0]
-    if T == 0:
-        return ScanResult(
-            np.zeros((0, d)), init, np.ones(m), np.zeros(m)
-        )
-
     w = layer.conv_kernel.shape[1]
     padded = np.concatenate([init.conv_window[:, 1:].T, inputs], axis=0)
     u = np.zeros((T, d))
@@ -329,7 +331,7 @@ def layer_scan(
     gates = 1.0 / (1.0 + np.exp(-(u @ layer.w_decay.T + layer.b_decay)))  # (T, m)
     drive = u @ layer.w_in.T  # (T, m)
 
-    xs = np.empty((T, m))
+    xs = np.empty((T, layer.w_in.shape[0]))
     x = init.x
     for t in range(T):
         x = gates[t] * x + drive[t]
@@ -339,11 +341,21 @@ def layer_scan(
         bad = int(np.flatnonzero(~np.isfinite(xs).all(axis=1))[0])
         raise NumericOverflowError(f"non-finite state at time step {bad}")
 
-    outputs = xs @ layer.w_out.T + u @ layer.passthrough.T
-    seg_log_decay = np.log(gates).sum(axis=0)
     seg_decay = np.maximum(np.prod(gates, axis=0), decay_floor)
-    final = LayerState(xs[-1], padded[T - 1 : T + w - 1].T)
-    return ScanResult(outputs, final, seg_decay, seg_log_decay)
+    final = LayerState(xs[-1], padded[T - 1 : T + w - 1].T) if T else init
+    return ScanResult(final, seg_decay, padded, u, gates, xs)
+
+
+def _run_layers(
+    h: np.ndarray, init_states: Sequence[LayerState], params: ToyModelParams
+) -> tuple[np.ndarray, list[ScanResult]]:
+    """Scan every block in turn; returns the last block's output and each scan."""
+    scans = []
+    for lp, st in zip(params.layers, init_states):
+        res = layer_scan(h, st, lp, params.config.decay_floor)
+        scans.append(res)
+        h = (res.xs @ lp.w_out.T + res.u @ lp.passthrough.T) + h
+    return h, scans
 
 
 def forward(
@@ -363,13 +375,8 @@ def forward(
             f"expected {cfg.num_layers} layer states, got {len(init_states)}"
         )
     FORWARD_CALLS.count += 1
-    h = embed(seq, params)
-    finals: list[LayerState] = []
-    for lp, st in zip(params.layers, init_states):
-        res = layer_scan(h, st, lp, cfg.decay_floor)
-        finals.append(res.final)
-        h = res.outputs + h
-    return h @ params.head.T, finals
+    h, scans = _run_layers(embed(seq, params), init_states, params)
+    return h @ params.head.T, [res.final for res in scans]
 
 
 def encode_context(
@@ -378,24 +385,14 @@ def encode_context(
     """Scan a segment from the zero state and package its composable summary."""
     if len(seq) == 0:
         raise InvalidInputError("cannot encode an empty context")
-    cfg = params.config
-    h = embed(seq, params)
-    xs, decays, log_decays, tails = [], [], [], []
     FORWARD_CALLS.count += 1
-    for lp, st in zip(params.layers, zero_state(cfg)):
-        res = layer_scan(h, st, lp, cfg.decay_floor)
-        xs.append(res.final.x)
-        decays.append(res.seg_decay)
-        log_decays.append(res.seg_log_decay)
-        tails.append(res.final.conv_window)
-        h = res.outputs + h
+    _, scans = _run_layers(embed(seq, params), zero_state(params.config), params)
     return ContextState(
         context_id=context_id,
         token_count=len(seq),
-        x_seg=tuple(xs),
-        decay=tuple(decays),
-        log_decay=tuple(log_decays),
-        conv_tail=tuple(tails),
+        x_seg=tuple(res.final.x for res in scans),
+        decay=tuple(res.seg_decay for res in scans),
+        conv_tail=tuple(res.final.conv_window for res in scans),
     )
 
 

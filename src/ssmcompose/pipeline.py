@@ -40,38 +40,24 @@ def build_store(items: Sequence[CorpusItem], params: ToyModelParams) -> StateSto
     return store
 
 
-def pretrain_reference(
-    train_items: Sequence[CorpusItem],
-    config: ToyModelConfig = REFERENCE_CONFIG,
-    init_seed: int = 7,
-    example_seed: int = 11,
-    train_seed: int = 13,
-    schedule: Sequence[tuple[int, float]] = PRETRAIN_SCHEDULE,
-) -> ToyModelParams:
-    """Staged plain-SGD pretraining on zero-context document streams."""
-    params = init_params(config, seed=init_seed)
-    examples = lm_examples(train_items, seed=example_seed)
-    for stage, (steps, lr) in enumerate(schedule):
-        params = train(
-            examples, params, steps=steps, lr=lr, objective="bptc", seed=train_seed + stage
-        ).params
-    return params
-
-
 def prepare_reference_models(
     train_items: Sequence[CorpusItem],
-    config: ToyModelConfig = REFERENCE_CONFIG,
-    finetune_steps: int = FINETUNE_STEPS,
-    finetune_lr: float = FINETUNE_LR,
+    schedule: Sequence[tuple[int, float]] = PRETRAIN_SCHEDULE,
 ) -> ReferenceModels:
-    """Pretrained checkpoint plus per-objective composition fine-tunes."""
-    pretrained = pretrain_reference(train_items, config)
+    """Staged plain-SGD pretraining on zero-context document streams, then one
+    composition fine-tune per objective from the pretrained checkpoint."""
+    pretrained = init_params(REFERENCE_CONFIG, seed=7)
+    lm = lm_examples(train_items, seed=11)
+    for stage, (steps, lr) in enumerate(schedule):
+        pretrained = train(
+            lm, pretrained, steps=steps, lr=lr, objective="bptc", seed=13 + stage
+        ).params
     store = build_store(train_items, pretrained)
     examples = composition_examples(train_items, store, seed=31)
     bptc = train(
-        examples, pretrained, steps=finetune_steps, lr=finetune_lr, objective="bptc", seed=41
+        examples, pretrained, steps=FINETUNE_STEPS, lr=FINETUNE_LR, objective="bptc", seed=41
     ).params
     bp2c = train(
-        examples, pretrained, steps=finetune_steps, lr=finetune_lr, objective="bp2c", seed=41
+        examples, pretrained, steps=FINETUNE_STEPS, lr=FINETUNE_LR, objective="bp2c", seed=41
     ).params
     return ReferenceModels(pretrained=pretrained, bptc=bptc, bp2c=bp2c)

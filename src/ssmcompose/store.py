@@ -4,8 +4,8 @@ One file holds fixed-width float64 state blobs back to back, followed by a
 canonical-JSON manifest and a 20-byte footer locating it:
 
     [0:4]   magic b"SSDB"
-    [4:...] entry blobs (per layer: x_seg, decay, log_decay, conv_tail as
-            little-endian float64; then the raw tokens as bytes)
+    [4:...] entry blobs (per layer: x_seg, decay, conv_tail as little-endian
+            float64; then the raw tokens as bytes)
     [...]   manifest, canonical JSON (sorted keys, no whitespace)
     [-20:]  u64 manifest offset, u64 manifest length, magic b"SSDB"
 
@@ -33,7 +33,7 @@ from .errors import ConfigMismatchError, InvalidInputError, NotFoundError
 from .model import ContextState, TokenSequence, ToyModelConfig, ToyModelParams, encode_context
 
 MAGIC = b"SSDB"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 EMBED_DIM = 256
 STORE_PATH_ENV = "SSMCOMPOSE_STORE"
 
@@ -102,12 +102,7 @@ class StoreEntry:
 def _state_blob(state: ContextState, tokens: TokenSequence) -> bytes:
     parts = []
     for layer in range(state.num_layers):
-        for arr in (
-            state.x_seg[layer],
-            state.decay[layer],
-            state.log_decay[layer],
-            state.conv_tail[layer],
-        ):
+        for arr in (state.x_seg[layer], state.decay[layer], state.conv_tail[layer]):
             parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     parts.append(tokens.to_bytes())
     return b"".join(parts)
@@ -117,7 +112,7 @@ def _blob_to_entry(
     blob: bytes, context_id: str, token_count: int, config: ToyModelConfig, embedding: Embedding
 ) -> StoreEntry:
     m, d, w, L = config.state_dim, config.embed_dim, config.conv_width, config.num_layers
-    xs, decays, logs, tails = [], [], [], []
+    xs, decays, tails = [], [], []
     off = 0
 
     def take(count, shape):
@@ -129,7 +124,6 @@ def _blob_to_entry(
     for _ in range(L):
         xs.append(take(m, (m,)))
         decays.append(take(m, (m,)))
-        logs.append(take(m, (m,)))
         tails.append(take(d * w, (d, w)))
     tokens = TokenSequence.from_bytes(blob[off : off + token_count])
     state = ContextState(
@@ -137,7 +131,6 @@ def _blob_to_entry(
         token_count=token_count,
         x_seg=tuple(xs),
         decay=tuple(decays),
-        log_decay=tuple(logs),
         conv_tail=tuple(tails),
     )
     return StoreEntry(context_id, state, tokens, embedding)
@@ -262,8 +255,11 @@ class StateStore:
 
     @classmethod
     def open(cls, path: str) -> "StateStore":
-        with open(path, "rb") as f:
-            data = f.read()
+        try:
+            with open(path, "rb") as f:
+                data = f.read()
+        except OSError as exc:
+            raise InvalidInputError(f"cannot read store: {exc}") from None
         if len(data) < 24 or data[:4] != MAGIC or data[-4:] != MAGIC:
             raise InvalidInputError(f"not an SSDB file: {path}")
         manifest_offset = int.from_bytes(data[-20:-12], "little")

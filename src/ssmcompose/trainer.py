@@ -9,9 +9,9 @@ Two losses over (query, continuation, retrieved contexts):
     the composition, so only the query scan contributes.
 
 Context scans are recomputed online from raw tokens each time (the stored
-database states are a cache, not the differentiation target).  Reverse-mode
-derivatives are written out by hand against the same arithmetic the forward
-pass uses, so they can be checked coordinate by coordinate against central
+database states are a cache, not the differentiation target).  Every scan is
+model.layer_scan; reverse-mode derivatives are written out by hand against its
+arithmetic, so they can be checked coordinate by coordinate against central
 finite differences (see gradient_check).  Restricted to num_layers == 1: the
 multi-layer composition is itself an approximation, and these gradients are
 meant to be exact.
@@ -25,8 +25,20 @@ from typing import Sequence
 import numpy as np
 
 from .compose import _cyclic_weights_1layer
-from .errors import InvalidInputError, TrainingDivergedError, UnsupportedConfigError
-from .model import ContextState, TokenSequence, ToyModelParams
+from .errors import (
+    InvalidInputError,
+    NumericOverflowError,
+    TrainingDivergedError,
+    UnsupportedConfigError,
+)
+from .model import (
+    ContextState,
+    LayerState,
+    ScanResult,
+    TokenSequence,
+    ToyModelParams,
+    layer_scan,
+)
 
 MAX_CONTEXTS = 10
 
@@ -84,42 +96,17 @@ def _zero_grads(params: ToyModelParams) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Cached scan: forward arithmetic mirrored exactly by the manual backward
+# Scans: model.layer_scan forward, its arithmetic mirrored by the manual backward
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _ScanCache:
-    tokens: np.ndarray
-    emb: np.ndarray  # (T, d) embedding rows
-    pad: np.ndarray  # (T+w-1, d) conv input, window prefix + emb
-    u: np.ndarray  # (T, d) conv output
-    gates: np.ndarray  # (T, m)
-    drive: np.ndarray  # (T, m)
-    xs: np.ndarray  # (T, m)
-    x0: np.ndarray
-    win0: np.ndarray
-
-
-def _scan_forward(
+def _scan(
     tokens: np.ndarray, params: ToyModelParams, x0: np.ndarray, win0: np.ndarray
-) -> _ScanCache:
-    lp = params.layers[0]
-    T = tokens.size
-    w = lp.conv_kernel.shape[1]
-    emb = params.embedding[tokens]
-    pad = np.concatenate([win0[:, 1:].T, emb], axis=0)
-    u = np.zeros_like(emb)
-    for j in range(w):
-        u += pad[j : j + T] * lp.conv_kernel[:, j]
-    gates = 1.0 / (1.0 + np.exp(-(u @ lp.w_decay.T + lp.b_decay)))
-    drive = u @ lp.w_in.T
-    xs = np.empty((T, lp.w_in.shape[0]))
-    x = x0
-    for t in range(T):
-        x = gates[t] * x + drive[t]
-        xs[t] = x
-    return _ScanCache(tokens, emb, pad, u, gates, drive, xs, x0, win0)
+) -> ScanResult:
+    # Inputs go positionally: tracing wrappers read the scan length from args[0].
+    return layer_scan(
+        params.embedding[tokens], LayerState(x0, win0), params.layers[0], params.config.decay_floor
+    )
 
 
 def _exclusive_products(values: np.ndarray) -> np.ndarray:
@@ -136,7 +123,9 @@ def _exclusive_products(values: np.ndarray) -> np.ndarray:
 
 
 def _scan_backward(
-    cache: _ScanCache,
+    tokens: np.ndarray,
+    x0: np.ndarray,
+    scan: ScanResult,
     params: ToyModelParams,
     grads: dict[str, np.ndarray],
     d_xs: np.ndarray | None = None,
@@ -152,14 +141,14 @@ def _scan_backward(
     elementwise product of the gates, g_window on the final conv window.
     """
     lp = params.layers[0]
-    T, m = cache.gates.shape
+    T, m = scan.gates.shape
     w = lp.conv_kernel.shape[1]
 
     d_gates = np.zeros((T, m))
     d_drive = np.zeros((T, m))
 
     if g_decay is not None:
-        d_gates += g_decay * _exclusive_products(cache.gates)
+        d_gates += g_decay * _exclusive_products(scan.gates)
 
     gx = np.zeros(m)
     if g_final is not None:
@@ -167,36 +156,36 @@ def _scan_backward(
     for t in range(T - 1, -1, -1):
         if d_xs is not None:
             gx = gx + d_xs[t]
-        x_prev = cache.xs[t - 1] if t > 0 else cache.x0
+        x_prev = scan.xs[t - 1] if t > 0 else x0
         d_gates[t] += gx * x_prev
         d_drive[t] += gx
-        gx = gx * cache.gates[t]
+        gx = gx * scan.gates[t]
     g_x0 = gx
 
-    dz = d_gates * cache.gates * (1.0 - cache.gates)
-    grads["layer0.w_decay"] += dz.T @ cache.u
+    dz = d_gates * scan.gates * (1.0 - scan.gates)
+    grads["layer0.w_decay"] += dz.T @ scan.u
     grads["layer0.b_decay"] += dz.sum(axis=0)
-    grads["layer0.w_in"] += d_drive.T @ cache.u
+    grads["layer0.w_in"] += d_drive.T @ scan.u
 
     d_u = dz @ lp.w_decay + d_drive @ lp.w_in
     if d_u_extra is not None:
         d_u = d_u + d_u_extra
 
-    d_pad = np.zeros_like(cache.pad)
+    d_pad = np.zeros_like(scan.padded)
     for j in range(w):
         d_pad[j : j + T] += d_u * lp.conv_kernel[:, j]
-        grads["layer0.conv_kernel"][:, j] += (d_u * cache.pad[j : j + T]).sum(axis=0)
+        grads["layer0.conv_kernel"][:, j] += (d_u * scan.padded[j : j + T]).sum(axis=0)
     if g_window is not None:
         for c in range(w):
             d_pad[T - 1 + c] += g_window[:, c]
 
-    g_win0 = np.zeros_like(cache.win0)
+    g_win0 = np.zeros((params.config.embed_dim, w))
     if w > 1:
         g_win0[:, 1:] = d_pad[: w - 1].T
     d_emb = d_pad[w - 1 :]
     if d_emb_extra is not None:
         d_emb = d_emb + d_emb_extra
-    np.add.at(grads["embedding"], cache.tokens, d_emb)
+    np.add.at(grads["embedding"], tokens, d_emb)
     return g_x0, g_win0
 
 
@@ -241,9 +230,8 @@ def _cyclic_mix_backward(
 class _Composition:
     x_init: np.ndarray
     win_init: np.ndarray
-    ctx_caches: list[_ScanCache]
+    scans: list[ScanResult]  # one per context, in example order
     finals: np.ndarray | None  # (n, m)
-    prods: np.ndarray | None  # unclamped gate products
     decays: np.ndarray | None  # clamped
     weights: np.ndarray | None
     h: np.ndarray | None  # cyclic recurrence sums, read by the adjoint
@@ -253,22 +241,18 @@ def _compose_init(example: TrainExample, params: ToyModelParams) -> _Composition
     """Scan all contexts from zero and mix them with cyclic-average weights."""
     cfg = params.config
     m, d, w = cfg.state_dim, cfg.embed_dim, cfg.conv_width
-    n = len(example.contexts)
-    if n == 0:
-        return _Composition(np.zeros(m), np.zeros((d, w)), [], None, None, None, None, None)
-    caches = [
-        _scan_forward(rc.tokens.tokens, params, np.zeros(m), np.zeros((d, w)))
+    if not example.contexts:
+        return _Composition(np.zeros(m), np.zeros((d, w)), [], None, None, None, None)
+    scans = [
+        _scan(rc.tokens.tokens, params, np.zeros(m), np.zeros((d, w)))
         for rc in example.contexts
     ]
-    finals = np.stack([c.xs[-1] for c in caches])
-    prods = np.stack([np.prod(c.gates, axis=0) for c in caches])
-    decays = np.maximum(prods, cfg.decay_floor)
+    finals = np.stack([res.final.x for res in scans])
+    decays = np.stack([res.seg_decay for res in scans])
     weights, h = _cyclic_weights_1layer(decays)
     x_init = np.sum(weights * finals, axis=0)
-    tails = np.stack(
-        [c.pad[c.tokens.size - 1 : c.tokens.size + w - 1].T for c in caches]
-    )
-    return _Composition(x_init, tails.mean(axis=0), caches, finals, prods, decays, weights, h)
+    tails = np.stack([res.final.conv_window for res in scans])
+    return _Composition(x_init, tails.mean(axis=0), scans, finals, decays, weights, h)
 
 
 def _query_loss(
@@ -283,15 +267,16 @@ def _query_loss(
     Returns (loss, grads, g_x_init, g_win_init).
     """
     lp = params.layers[0]
-    m, d = params.config.state_dim, params.config.embed_dim
+    m, d, w = params.config.state_dim, params.config.embed_dim, params.config.conv_width
     full = np.concatenate([example.query.tokens, example.continuation.tokens])
-    qcache = _scan_forward(full, params, x_init, win_init)
+    scan = _scan(full, params, x_init, win_init)
     start = len(example.query) - 1
     count = len(example.continuation)
     sel = np.arange(start, start + count)
     targets = example.continuation.tokens
 
-    y = qcache.xs[sel] @ lp.w_out.T + qcache.u[sel] @ lp.passthrough.T + qcache.emb[sel]
+    emb = scan.padded[w - 1 :]  # the scan's inputs
+    y = scan.xs[sel] @ lp.w_out.T + scan.u[sel] @ lp.passthrough.T + emb[sel]
     logits = y @ params.head.T
     zmax = logits.max(axis=1, keepdims=True)
     shifted = logits - zmax
@@ -308,8 +293,8 @@ def _query_loss(
     grads["head"] += d_logits.T @ y
     d_y = d_logits @ params.head
 
-    grads["layer0.w_out"] += d_y.T @ qcache.xs[sel]
-    grads["layer0.passthrough"] += d_y.T @ qcache.u[sel]
+    grads["layer0.w_out"] += d_y.T @ scan.xs[sel]
+    grads["layer0.passthrough"] += d_y.T @ scan.u[sel]
     T_full = full.size
     d_xs = np.zeros((T_full, m))
     d_xs[sel] = d_y @ lp.w_out
@@ -319,7 +304,7 @@ def _query_loss(
     d_emb_extra[sel] = d_y
 
     g_x_init, g_win_init = _scan_backward(
-        qcache, params, grads, d_xs=d_xs, d_u_extra=d_u_extra, d_emb_extra=d_emb_extra
+        full, x_init, scan, params, grads, d_xs=d_xs, d_u_extra=d_u_extra, d_emb_extra=d_emb_extra
     )
     return loss, grads, g_x_init, g_win_init
 
@@ -338,16 +323,20 @@ def _evaluate(
     if not want_grad:
         return loss, None
 
-    if through_composition and comp.ctx_caches:
-        n = len(comp.ctx_caches)
+    if through_composition and comp.scans:
+        n = len(comp.scans)
         d_weights = g_x_init * comp.finals  # (n, m)
         d_finals = g_x_init * comp.weights
         d_decays = _cyclic_mix_backward(comp.decays, comp.h, d_weights)
-        d_prods = d_decays * (comp.prods > params.config.decay_floor)
+        # The clamp passes no gradient where the gate product fell below the floor.
+        d_prods = d_decays * (comp.decays > params.config.decay_floor)
         g_tail = g_win_init / n
-        for k, cache in enumerate(comp.ctx_caches):
+        zero = np.zeros(params.config.state_dim)
+        for k, (rc, scan) in enumerate(zip(example.contexts, comp.scans)):
             _scan_backward(
-                cache,
+                rc.tokens.tokens,
+                zero,
+                scan,
                 params,
                 grads,
                 g_final=d_finals[k],
@@ -463,7 +452,10 @@ def train(
     losses: list[float] = []
     for step_idx in range(steps):
         example = dataset[int(rng.integers(len(dataset)))]
-        loss, grads = grad_fn(example, params)
+        try:
+            loss, grads = grad_fn(example, params)
+        except NumericOverflowError:
+            raise TrainingDivergedError(step_idx) from None
         if not np.isfinite(loss):
             raise TrainingDivergedError(step_idx)
         losses.append(loss)

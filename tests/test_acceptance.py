@@ -183,12 +183,10 @@ def test_criterion_06_distance_bound():
     the bound with equality, so a looser rhs fails this test.
     """
     ident = ContextState(
-        "a", 1, (np.array([2.0, -1.0]),), (np.array([1.0, 1.0]),),
-        (np.zeros(2),), (np.zeros((1, 1)),),
+        "a", 1, (np.array([2.0, -1.0]),), (np.array([1.0, 1.0]),), (np.zeros((1, 1)),)
     )
     ident_b = ContextState(
-        "b", 1, (np.array([-3.0, 0.5]),), (np.array([1.0, 1.0]),),
-        (np.zeros(2),), (np.zeros((1, 1)),),
+        "b", 1, (np.array([-3.0, 0.5]),), (np.array([1.0, 1.0]),), (np.zeros((1, 1)),)
     )
     (lhs0, rhs0), = caso_distance_bound(ident, ident_b)
     assert lhs0 == 0.0 and rhs0 == 0.0
@@ -198,8 +196,8 @@ def test_criterion_06_distance_bound():
     db = np.array([0.6, 0.2, 0.9])
     xa = np.array([1.5, -2.0, 0.7])
     xb = -2.5 * (1.0 - db) * xa / (1.0 - da)
-    sharp_a = ContextState("a", 1, (xa,), (da,), (np.log(da),), (np.zeros((1, 1)),))
-    sharp_b = ContextState("b", 1, (xb,), (db,), (np.log(db),), (np.zeros((1, 1)),))
+    sharp_a = ContextState("a", 1, (xa,), (da,), (np.zeros((1, 1)),))
+    sharp_b = ContextState("b", 1, (xb,), (db,), (np.zeros((1, 1)),))
     (lhs_eq, rhs_eq), = caso_distance_bound(sharp_a, sharp_b)
     sharp = lhs_eq == pytest.approx(rhs_eq, rel=1e-12)
 
@@ -408,7 +406,7 @@ def test_criterion_11_store_round_trip(tmp_path):
             mismatches += 1
             continue
         for layer in range(a.state.num_layers):
-            for field in ("x_seg", "decay", "log_decay", "conv_tail"):
+            for field in ("x_seg", "decay", "conv_tail"):
                 if (
                     getattr(a.state, field)[layer].tobytes()
                     != getattr(b.state, field)[layer].tobytes()

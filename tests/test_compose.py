@@ -27,7 +27,7 @@ from ssmcompose import (
     picaso_s_weights,
 )
 from ssmcompose.bench import synthetic_contexts
-from ssmcompose.compose import OP_COUNTER, GroupKind, PermutationGroup, group_weights
+from ssmcompose.compose import OP_COUNTER
 from ssmcompose.corpus import generate_corpus
 from ssmcompose.model import FORWARD_CALLS, ContextState
 from ssmcompose.pipeline import REFERENCE_CONFIG
@@ -40,7 +40,6 @@ def scalar_context(x, decay, cid="c"):
         token_count=1,
         x_seg=(np.array([float(x)]),),
         decay=(np.array([float(decay)]),),
-        log_decay=(np.log(np.array([float(decay)])),),
         conv_tail=(np.zeros((1, 1)),),
     )
 
@@ -55,7 +54,6 @@ def random_contexts(rng, n, m=5, layers=1, decay_range=(0.05, 0.999)):
                 token_count=1,
                 x_seg=tuple(rng.normal(size=m) for _ in range(layers)),
                 decay=decays,
-                log_decay=tuple(np.log(d) for d in decays),
                 conv_tail=tuple(rng.normal(size=(3, 2)) for _ in range(layers)),
             )
         )
@@ -84,7 +82,6 @@ def decay_contexts(decays):
             token_count=1,
             x_seg=(np.zeros(decays.shape[1]),),
             decay=(row,),
-            log_decay=(np.log(row),),
             conv_tail=(np.zeros((2, 2)),),
         )
         for i, row in enumerate(decays)
@@ -223,16 +220,6 @@ class TestSymmetricWeights:
             w = picaso_s_weights(random_contexts(rng, n)).per_layer[0]
             assert np.all(w > 0.0) and np.all(w <= 1.0 + 1e-12)
 
-    def test_group_dispatch(self):
-        rng = np.random.default_rng(13)
-        ctxs = random_contexts(rng, 3)
-        sym = group_weights(ctxs, PermutationGroup(GroupKind.SYMMETRIC, 3))
-        cyc = group_weights(ctxs, PermutationGroup(GroupKind.CYCLIC, 3))
-        npt.assert_array_equal(sym.per_layer[0], picaso_s_weights(ctxs).per_layer[0])
-        assert cyc.method == "picaso_r"
-        with pytest.raises(InvalidInputError):
-            group_weights(ctxs, PermutationGroup(GroupKind.CYCLIC, 4))
-
     def test_rejects_beyond_float_binomial_range(self):
         # Float binomials are only trusted through n = 64.
         rng = np.random.default_rng(14)
@@ -319,7 +306,6 @@ class TestPicasoR:
                     token_count=1,
                     x_seg=(rng.normal(size=m),),
                     decay=(decays[i],),
-                    log_decay=(np.log(decays[i]),),
                     conv_tail=(np.zeros((2, 2)),),
                 )
             )
@@ -362,7 +348,6 @@ class TestPicasoR:
             token_count=1,
             x_seg=c.x_seg,
             decay=(np.array([1.0]),),
-            log_decay=(np.array([0.0]),),
             conv_tail=c.conv_tail,
         )
         object.__setattr__(bad, "decay", (np.array([0.0]),))  # bypass constructor guard
@@ -461,7 +446,7 @@ class TestDistanceBound:
         for t in (1.0, 0.5, 0.1):
             da = 1.0 - t * (1.0 - a.decay[0])
             db = 1.0 - t * (1.0 - b.decay[0])
-            at = ContextState("a", 1, a.x_seg, (da,), (np.log(da),), a.conv_tail)
-            bt = ContextState("b", 1, b.x_seg, (db,), (np.log(db),), b.conv_tail)
+            at = ContextState("a", 1, a.x_seg, (da,), a.conv_tail)
+            bt = ContextState("b", 1, b.x_seg, (db,), b.conv_tail)
             values.append(caso_distance_bound(at, bt)[0][0])
         assert values[0] > values[1] > values[2]

@@ -11,7 +11,15 @@ import pytest
 from ssmcompose import ToyModelConfig, init_params
 from ssmcompose.bench import run_bench
 from ssmcompose.cli import main
-from ssmcompose.corpus import generate_corpus, lm_examples, read_jsonl, write_jsonl
+from ssmcompose.corpus import (
+    KEY_LETTERS,
+    VALUE_LETTERS,
+    CorpusItem,
+    generate_corpus,
+    lm_examples,
+    read_jsonl,
+    write_jsonl,
+)
 from ssmcompose.evaluate import evaluate_methods
 from ssmcompose.model import TokenSequence, load_params, save_params
 from ssmcompose.store import StateStore, load_composed_state
@@ -21,6 +29,49 @@ EVAL_CSV_HEADER = (
     "model_calls_per_query,ops_per_query,num_queries"
 )
 BENCH_CSV_HEADER = "schema_version,target,n,wall_seconds,ops,model_calls"
+
+
+def generate_corpus_pairwise(seed, num_docs):
+    """Reference: the generator checking each new word against every used word."""
+    rng = np.random.default_rng(seed)
+    used = {"the", "code", "is"}
+
+    def fresh_word(letters, lo, hi):
+        while True:
+            w = bytes(rng.choice(letters, int(rng.integers(lo, hi))).tolist()).decode()
+            if w not in used and not any(u.startswith(w) or w.startswith(u) for u in used):
+                used.add(w)
+                return w
+
+    items = []
+    for i in range(num_docs):
+        key = fresh_word(KEY_LETTERS, 3, 7)
+        value = fresh_word(VALUE_LETTERS, 4, 8)
+        items.append(CorpusItem(f"doc{i:05d}", f"{key} : {value} . ", f"{key} :", f" {value}"))
+    return items
+
+
+def lm_streams_listed(items, seed):
+    """Reference: lm_examples drawing distractors from an explicit list of the others."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for idx, it in enumerate(items):
+        mode = rng.random()
+        others = [j for j in range(len(items)) if j != idx]
+
+        def pick(count):
+            chosen = rng.choice(len(others), size=min(count, len(others)), replace=False)
+            return [items[others[int(p)]].context_text for p in chosen]
+
+        if mode < 0.6:
+            docs = [it.context_text] + pick(int(rng.integers(0, 4)))
+        elif mode < 0.8:
+            docs = [it.context_text] * int(rng.integers(2, 4)) + pick(int(rng.integers(0, 3)))
+        else:
+            docs = [it.context_text] + pick(int(rng.integers(4, 7)))
+        order = rng.permutation(len(docs))
+        out.append("".join(docs[int(o)] for o in order) + it.query)
+    return out
 
 
 class TestCorpus:
@@ -49,6 +100,17 @@ class TestCorpus:
         items = generate_corpus(seed=6, num_docs=1000)
         assert len(items) == 1000
         assert time.perf_counter() - t0 < 5.0
+
+    @pytest.mark.parametrize("seed,num_docs", [(101, 400), (202, 200), (0, 300)])
+    def test_prefix_set_matches_pairwise_check(self, seed, num_docs):
+        assert generate_corpus(seed, num_docs) == generate_corpus_pairwise(seed, num_docs)
+
+    @pytest.mark.parametrize("num_docs", [1, 3, 40])
+    def test_lm_examples_match_listed_others(self, num_docs):
+        items = generate_corpus(seed=8, num_docs=num_docs)
+        for seed in (0, 11):
+            streams = [ex.query.to_text() for ex in lm_examples(items, seed=seed)]
+            assert streams == lm_streams_listed(items, seed)
 
     def test_lm_examples_deterministic(self):
         items = generate_corpus(seed=7, num_docs=30)
@@ -240,6 +302,25 @@ class TestCliPipeline:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"mode", "method", "scores", "selected_index", "selected_id"}
         assert payload["selected_id"] in ids
+
+    @pytest.mark.parametrize(
+        "case", ["missing_model", "garbage_model", "missing_corpus", "missing_store"]
+    )
+    def test_unreadable_input_file_exit_code(self, workspace, tmp_path, capsys, case):
+        corpus, _ = workspace
+        missing = str(tmp_path / "missing")
+        garbage = tmp_path / "garbage.npz"
+        garbage.write_bytes(b"not a parameter archive")
+        build = ["build-db", "--store", str(tmp_path / "new.ssdb")]
+        argv = {
+            "missing_model": build + ["--corpus", str(corpus), "--model", missing],
+            "garbage_model": build + ["--corpus", str(corpus), "--model", str(garbage)],
+            "missing_corpus": build + ["--corpus", missing],
+            "missing_store": ["compose", "--store", missing, "--out", str(tmp_path / "s.ssbl"), "id"],
+        }[case]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read")
 
     def test_invalid_input_exit_code(self, tmp_path):
         assert main(["gen-corpus", "--seed", "1", "--num-docs", "0", "--out", str(tmp_path / "x")]) == 2

@@ -32,6 +32,11 @@ def random_tokens(rng, length):
     return TokenSequence(rng.integers(0, VOCAB_SIZE, length))
 
 
+def log_decay(res):
+    """Exact, unclamped log of a scan's accumulated decay."""
+    return np.log(res.gates).sum(axis=0)
+
+
 class TestTokenSequence:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidInputError):
@@ -69,10 +74,10 @@ class TestLayerScan:
         cfg, params = small_model()
         init = zero_state(cfg)[0]
         res = layer_scan(np.zeros((0, cfg.embed_dim)), init, params.layers[0])
-        assert res.outputs.shape == (0, cfg.embed_dim)
+        assert res.xs.shape == (0, cfg.state_dim)
         assert res.final is init
         npt.assert_array_equal(res.seg_decay, np.ones(cfg.state_dim))
-        npt.assert_array_equal(res.seg_log_decay, np.zeros(cfg.state_dim))
+        npt.assert_array_equal(log_decay(res), np.zeros(cfg.state_dim))
 
     def test_no_decay_limit_accumulates_drive(self):
         # With the decay gate saturated at ~1 the state is just the summed drive.
@@ -106,14 +111,12 @@ class TestLayerScan:
         second = layer_scan(inputs[3:], first.final, params.layers[0])
         npt.assert_allclose(second.final.x, whole.final.x, rtol=1e-6)
         npt.assert_allclose(second.final.conv_window, whole.final.conv_window, rtol=1e-6)
-        npt.assert_allclose(
-            np.concatenate([first.outputs, second.outputs]), whole.outputs, rtol=1e-6
-        )
+        npt.assert_allclose(np.concatenate([first.xs, second.xs]), whole.xs, rtol=1e-6)
         npt.assert_allclose(
             first.seg_decay * second.seg_decay, whole.seg_decay, rtol=1e-12
         )
         npt.assert_allclose(
-            first.seg_log_decay + second.seg_log_decay, whole.seg_log_decay, rtol=1e-12
+            log_decay(first) + log_decay(second), log_decay(whole), rtol=1e-12
         )
 
     def test_overflow_error_names_time_step(self):
@@ -139,7 +142,7 @@ class TestLayerScan:
         assert np.all(res.seg_decay > 0.0) and np.all(res.seg_decay <= 1.0)
         unclamped = res.seg_decay > cfg.decay_floor
         npt.assert_allclose(
-            np.exp(res.seg_log_decay[unclamped]), res.seg_decay[unclamped], rtol=1e-5
+            np.exp(log_decay(res)[unclamped]), res.seg_decay[unclamped], rtol=1e-5
         )
 
 
@@ -200,13 +203,14 @@ class TestEncodeContext:
         # Bias the gate to ~sigmoid(-5): 200 steps underflow the 1e-30 floor in
         # linear space while the log form stays exact.
         cfg, params = small_model(layers=1)
-        lp = params.layers[0]
         strong = params.with_tensors({"layer0.b_decay": np.full(cfg.state_dim, -5.0)})
         rng = np.random.default_rng(5)
-        state = encode_context(random_tokens(rng, 200), strong)
+        seq = random_tokens(rng, 200)
+        state = encode_context(seq, strong)
         assert np.all(state.decay[0] == cfg.decay_floor)
-        assert np.isfinite(state.log_decay[0]).all()
-        assert np.all(state.log_decay[0] < math.log(cfg.decay_floor))
+        res = layer_scan(embed(seq, strong), zero_state(cfg)[0], strong.layers[0])
+        assert np.isfinite(log_decay(res)).all()
+        assert np.all(log_decay(res) < math.log(cfg.decay_floor))
 
 
 class TestCrossEntropy:

@@ -8,8 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssmcompose import ConfigMismatchError, NotFoundError, TokenSequence, ToyModelConfig, init_params
-from ssmcompose.store import EMBED_DIM, StateStore, embed_text
+from ssmcompose import (
+    ConfigMismatchError,
+    InvalidInputError,
+    NotFoundError,
+    TokenSequence,
+    ToyModelConfig,
+    init_params,
+)
+from ssmcompose.store import EMBED_DIM, FORMAT_VERSION, StateStore, embed_text
 
 
 @pytest.fixture()
@@ -114,7 +121,7 @@ class TestSerialization:
             a, b = store.entry(cid), loaded.entry(cid)
             npt.assert_array_equal(a.tokens.tokens, b.tokens.tokens)
             for layer in range(a.state.num_layers):
-                for field in ("x_seg", "decay", "log_decay", "conv_tail"):
+                for field in ("x_seg", "decay", "conv_tail"):
                     av = getattr(a.state, field)[layer]
                     bv = getattr(b.state, field)[layer]
                     assert av.tobytes() == bv.tobytes()
@@ -130,6 +137,21 @@ class TestSerialization:
         q = TokenSequence(rng.integers(0, 256, 9))
         runs = [json.dumps(StateStore.open(path).query(q, k=5)) for _ in range(2)]
         assert runs[0] == runs[1]
+
+    def test_rejects_format_version_1(self, model, tmp_path):
+        # Version 1 entry blobs held an extra log_decay field per layer; reading
+        # one with the version 2 layout would misplace every later field.
+        _, params = model
+        store = StateStore.create(params)
+        store.insert(TokenSequence(np.arange(12)), params)
+        path = tmp_path / "db.ssdb"
+        store.save(str(path))
+        current = f'"format_version":{FORMAT_VERSION}'.encode()
+        data = path.read_bytes()
+        assert FORMAT_VERSION == 2 and data.count(current) == 1
+        path.write_bytes(data.replace(current, b'"format_version":1'))
+        with pytest.raises(InvalidInputError, match="version 1"):
+            StateStore.open(str(path))
 
     def test_rejects_garbage_file(self, tmp_path):
         path = tmp_path / "junk.ssdb"

@@ -15,6 +15,7 @@ from ssmcompose import (
     cross_entropy,
     encode_context,
     init_params,
+    layer_scan,
     picaso_r_weights,
     zero_state,
 )
@@ -127,6 +128,22 @@ class TestGradients:
         npt.assert_array_equal(g2["embedding"][250:], 0.0)
         _, g1 = grad_bptc(ex, params)
         assert np.abs(g1["embedding"][250:]).max() > 0.0
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_every_scan_is_the_model_layer_scan(self, n, monkeypatch):
+        # One scan per context plus the query scan, all through model.layer_scan.
+        _, params = toy()
+        ex = make_example(np.random.default_rng(30 + n), n_contexts=n)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return layer_scan(*args, **kwargs)
+
+        monkeypatch.setattr("ssmcompose.trainer.layer_scan", counting)
+        grad_bptc(ex, params)
+        lengths = [len(rc.tokens) for rc in ex.contexts] + [len(ex.query) + len(ex.continuation)]
+        assert calls == lengths
 
     def test_gradients_differ_between_objectives(self):
         _, params = toy()
