@@ -2,17 +2,17 @@
 
 from .compose import (
     ComposedState,
-    CompositionWeights,
     caso_distance_bound,
     compose_caso,
+    compose_concat,
     compose_picaso_r,
     compose_picaso_s,
     compose_piconcat_r,
     compose_soup,
+    compose_states,
     esp_all,
     esp_merge,
-    picaso_r_weights,
-    picaso_s_weights,
+    mixing_weights,
 )
 from .errors import (
     ConfigMismatchError,

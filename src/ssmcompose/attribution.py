@@ -21,14 +21,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .compose import METHODS
+from .compose import METHODS, compose_concat, compose_states
 from .errors import InvalidInputError
 from .model import (
     LayerState,
     TokenSequence,
     ToyModelParams,
     continuation_loss,
-    forward,
 )
 from .trainer import RetrievedContext
 
@@ -47,24 +46,15 @@ class AttributionResult:
         object.__setattr__(self, "scores", arr)
 
 
-def _concat_states(contexts: Sequence[RetrievedContext], params: ToyModelParams) -> list[LayerState]:
-    if any(c.state is None for c in contexts):
-        raise InvalidInputError("concat attribution needs pre-encoded context states")
-    current = contexts[0].state.to_layer_states()
-    for c in contexts[1:]:
-        _, current = forward(c.tokens, current, params)
-    return current
-
-
 def _composed_states(
     contexts: Sequence[RetrievedContext], params: ToyModelParams, method: str
 ) -> list[LayerState]:
-    if method == "concat":
-        return _concat_states(contexts, params)
     states = [c.state for c in contexts]
     if any(s is None for s in states):
         raise InvalidInputError(f"{method} attribution needs pre-encoded context states")
-    return METHODS[method](states).to_layer_states()
+    if method == "concat":
+        return compose_concat(states[0], [c.tokens for c in contexts[1:]], params)
+    return compose_states(method, states).to_layer_states()
 
 
 def leave_one_in(

@@ -14,11 +14,12 @@ from __future__ import annotations
 import io
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .compose import METHODS, OP_COUNTER, WEIGHTS, compose_piconcat_r
+from .compose import METHODS, OP_COUNTER, compose_piconcat_r, compose_states, mixing_weights
 from .errors import InvalidInputError
 from .model import FORWARD_CALLS, ContextState, TokenSequence, ToyModelConfig, init_params
 
@@ -59,7 +60,7 @@ def synthetic_contexts(
     conv_width: int = 4,
     decay_range: tuple[float, float] = (0.9, 0.999),
 ) -> list[ContextState]:
-    """Random composable states.  The op counts of both weight kernels do not
+    """Random composable states.  The op counts of every weight kernel do not
     depend on the decay values, so the decay range does not steer the cost."""
     out = []
     for i in range(n):
@@ -100,7 +101,9 @@ def run_bench(
     rng = np.random.default_rng(seed)
     report = BenchReport()
     ops_by_target: dict[str, list[int]] = {}
-    targets = {f"{name}_weights": fn for name, fn in WEIGHTS.items()} | METHODS
+    targets = {f"{name}_weights": partial(mixing_weights, name) for name in METHODS} | {
+        name: partial(compose_states, name) for name in METHODS
+    }
 
     for n in n_list:
         contexts = synthetic_contexts(n, state_dim, num_layers, rng)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .attribution import LOO_METHODS, leave_one_in, leave_one_out
 from .bench import run_bench
-from .compose import METHODS, WEIGHTS
+from .compose import METHODS, compose_states, mixing_weights
 from .corpus import composition_examples, generate_corpus, read_jsonl, write_jsonl
 from .errors import ConfigMismatchError, InvalidInputError, SSMComposeError
 from .evaluate import METHOD_CHOICES, evaluate_methods
@@ -75,15 +75,12 @@ def cmd_build_db(args) -> int:
 def cmd_compose(args) -> int:
     store = StateStore.open(_store_path(args))
     states = store.load_states(args.ids)
-    composed = METHODS[args.method](states)
+    composed = compose_states(args.method, states)
     save_composed_state(args.out, composed, store.config)
     if args.verbose:
-        weights_fn = WEIGHTS.get(args.method)
-        if weights_fn is not None:
-            w = weights_fn(states)
-            for layer, mat in enumerate(w.per_layer):
-                summary = ", ".join(f"{row.mean():.4f}" for row in mat)
-                print(f"layer {layer} mean weight per context: {summary}")
+        for layer, mat in enumerate(mixing_weights(args.method, states)):
+            summary = ", ".join(f"{row.mean():.4f}" for row in mat)
+            print(f"layer {layer} mean weight per context: {summary}")
     print(f"composed {len(states)} states via {args.method} -> {args.out}")
     return 0
 

@@ -16,9 +16,14 @@ still a per-channel linear combination sum_k W_k * x_k:
     (indices mod n), computed in O(n) per channel by one division-free reverse
     recurrence over the doubled decay sequence (see _cyclic_weights_1layer).
 
-`soup` (plain averaging) and `piconcat_r` (rotation-averaged re-scans, n model
-calls) are the baselines.  Conv windows are combined by plain averaging in
-every method.
+Every state-mixing method is a weight kernel: per layer it maps the stacked
+decays (n, m) to weights (n, m), and `compose_states` forms sum_k W_k * x_k.
+`caso` weighs each context by the running product of the decays after it,
+`soup` (plain averaging, a baseline) by 1/n, `picaso_s` and `picaso_r` by the
+group averages above.  `METHODS` names the kernels.  `piconcat_r`
+(rotation-averaged re-scans, n model calls) and `concat` (chained re-scans)
+are the baselines that call the model.  Conv windows are combined by plain
+averaging in every mixing method.
 
 All functions here are pure; arithmetic is instrumented through OP_COUNTER so
 asymptotic cost can be measured (see bench module).
@@ -38,6 +43,7 @@ from .model import (
     TokenSequence,
     ToyModelParams,
     encode_context,
+    forward,
 )
 
 #: Symmetric weights use float binomial coefficients; beyond this they are not
@@ -59,18 +65,6 @@ class OpCounter:
 
 
 OP_COUNTER = OpCounter()
-
-
-@dataclass(frozen=True)
-class CompositionWeights:
-    """Per-layer diagonal mixing weights, one (n, m) matrix per layer."""
-
-    per_layer: tuple[np.ndarray, ...]
-    method: str
-
-    @property
-    def n(self) -> int:
-        return self.per_layer[0].shape[0]
 
 
 @dataclass(frozen=True)
@@ -106,47 +100,6 @@ def _validate(contexts: Sequence[ContextState]) -> tuple[int, int]:
         ):
             raise InvalidInputError("contexts come from different model configurations")
     return L, m
-
-
-def _mean_tails(contexts: Sequence[ContextState], layer: int) -> np.ndarray:
-    stack = np.stack([c.conv_tail[layer] for c in contexts])
-    OP_COUNTER.add(stack.size)
-    return stack.mean(axis=0)
-
-
-def _ids(contexts: Sequence[ContextState]) -> tuple[str, ...]:
-    return tuple(c.context_id for c in contexts)
-
-
-def compose_caso(contexts: Sequence[ContextState]) -> ComposedState:
-    """Ordered composition: right-to-left running decay product, ascending sum."""
-    L, m = _validate(contexts)
-    n = len(contexts)
-    xs, tails = [], []
-    for layer in range(L):
-        states = np.stack([c.x_seg[layer] for c in contexts])  # (n, m)
-        decays = np.stack([c.decay[layer] for c in contexts])
-        weights = np.ones((n, m))
-        run = np.ones(m)
-        for i in range(n - 2, -1, -1):
-            run = run * decays[i + 1]
-            weights[i] = run
-        OP_COUNTER.add(2 * n * m)
-        xs.append(np.sum(weights * states, axis=0))
-        tails.append(_mean_tails(contexts, layer))
-    return ComposedState(tuple(xs), tuple(tails), _ids(contexts), "caso")
-
-
-def compose_soup(contexts: Sequence[ContextState]) -> ComposedState:
-    """Plain averaging of states (and conv tails)."""
-    L, _ = _validate(contexts)
-    xs, tails = [], []
-    for layer in range(L):
-        states = np.stack([c.x_seg[layer] for c in contexts])
-        OP_COUNTER.add(states.size)
-        xs.append(states.mean(axis=0))
-        tails.append(_mean_tails(contexts, layer))
-    return ComposedState(tuple(xs), tuple(tails), _ids(contexts), "soup")
 
 
 # ---------------------------------------------------------------------------
@@ -245,61 +198,92 @@ def _cyclic_weights_1layer(decays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return weights, h
 
 
-def picaso_s_weights(contexts: Sequence[ContextState]) -> CompositionWeights:
-    """Per-context diagonal weights averaging caso over every ordering."""
+def _caso_weights(decays: np.ndarray) -> np.ndarray:
+    """Ordered weights: W_i = A_n * ... * A_{i+1}, a right-to-left running product."""
+    n, m = decays.shape
+    weights = np.ones((n, m))
+    run = np.ones(m)
+    for i in range(n - 2, -1, -1):
+        run = run * decays[i + 1]
+        weights[i] = run
+    OP_COUNTER.add(n * m)
+    return weights
+
+
+def _soup_weights(decays: np.ndarray) -> np.ndarray:
+    """Plain averaging: every context weighs 1/n."""
+    n, m = decays.shape
+    OP_COUNTER.add(n * m)
+    return np.full((n, m), 1.0 / n)
+
+
+def _rotation_weights(decays: np.ndarray) -> np.ndarray:
+    """Cyclic-group weights; the recurrence needs strictly positive decays."""
+    if decays.min() <= 0.0:
+        raise InvalidInputError("cyclic weights require strictly positive decays")
+    return _cyclic_weights_1layer(decays)[0]
+
+
+#: The methods that mix stored states with no model call: each name maps to its
+#: per-layer weight kernel, stacked decays (n, m) -> weights (n, m).
+METHODS = {
+    "caso": _caso_weights,
+    "soup": _soup_weights,
+    "picaso_r": _rotation_weights,
+    "picaso_s": _symmetric_weights_1layer,
+}
+
+
+def mixing_weights(method: str, contexts: Sequence[ContextState]) -> list[np.ndarray]:
+    """One (n, m) weight matrix per layer: the composed state is sum_k W_k * x_k."""
+    if method not in METHODS:
+        raise InvalidInputError(f"unknown composition method: {method}")
     L, _ = _validate(contexts)
-    per_layer = []
-    for layer in range(L):
-        decays = np.stack([c.decay[layer] for c in contexts])
-        per_layer.append(_symmetric_weights_1layer(decays))
-    return CompositionWeights(tuple(per_layer), "picaso_s")
+    kernel = METHODS[method]
+    return [kernel(np.stack([c.decay[layer] for c in contexts])) for layer in range(L)]
 
 
-def picaso_r_weights(contexts: Sequence[ContextState]) -> CompositionWeights:
-    """Per-context diagonal weights averaging caso over cyclic rotations."""
-    L, _ = _validate(contexts)
-    per_layer = []
-    for layer in range(L):
-        decays = np.stack([c.decay[layer] for c in contexts])
-        if decays.min() <= 0.0:
-            raise InvalidInputError("cyclic weights require strictly positive decays")
-        per_layer.append(_cyclic_weights_1layer(decays)[0])
-    return CompositionWeights(tuple(per_layer), "picaso_r")
-
-
-def _weighted_compose(
-    contexts: Sequence[ContextState], weights: CompositionWeights, method: str
-) -> ComposedState:
-    L, m = _validate(contexts)
+def compose_states(method: str, contexts: Sequence[ContextState]) -> ComposedState:
+    """Mix stored states by `method`'s weights; conv tails are averaged."""
     xs, tails = [], []
-    for layer in range(L):
+    for layer, weights in enumerate(mixing_weights(method, contexts)):
         states = np.stack([c.x_seg[layer] for c in contexts])
         OP_COUNTER.add(2 * states.size)
-        xs.append(np.sum(weights.per_layer[layer] * states, axis=0))
-        tails.append(_mean_tails(contexts, layer))
-    return ComposedState(tuple(xs), tuple(tails), _ids(contexts), method)
+        xs.append(np.sum(weights * states, axis=0))
+        stack = np.stack([c.conv_tail[layer] for c in contexts])
+        OP_COUNTER.add(stack.size)
+        tails.append(stack.mean(axis=0))
+    return ComposedState(tuple(xs), tuple(tails), tuple(c.context_id for c in contexts), method)
+
+
+def compose_caso(contexts: Sequence[ContextState]) -> ComposedState:
+    """Ordered composition: what one scan over the concatenation would carry."""
+    return compose_states("caso", contexts)
+
+
+def compose_soup(contexts: Sequence[ContextState]) -> ComposedState:
+    """Plain averaging of states (and conv tails)."""
+    return compose_states("soup", contexts)
 
 
 def compose_picaso_s(contexts: Sequence[ContextState]) -> ComposedState:
     """Order-free composition over the full symmetric group."""
-    return _weighted_compose(contexts, picaso_s_weights(contexts), "picaso_s")
+    return compose_states("picaso_s", contexts)
 
 
 def compose_picaso_r(contexts: Sequence[ContextState]) -> ComposedState:
     """Rotation-invariant composition over the cyclic group."""
-    return _weighted_compose(contexts, picaso_r_weights(contexts), "picaso_r")
+    return compose_states("picaso_r", contexts)
 
 
-#: The methods that mix stored states with no model call, by name.
-METHODS = {
-    "caso": compose_caso,
-    "soup": compose_soup,
-    "picaso_r": compose_picaso_r,
-    "picaso_s": compose_picaso_s,
-}
-
-#: The per-context weights behind the group-averaged methods.
-WEIGHTS = {"picaso_r": picaso_r_weights, "picaso_s": picaso_s_weights}
+def compose_concat(
+    first: ContextState, rest: Sequence[TokenSequence], params: ToyModelParams
+) -> list[LayerState]:
+    """Re-scan the later segments from the first one's stored state: len(rest) model calls."""
+    current = first.to_layer_states()
+    for tokens in rest:
+        _, current = forward(tokens, current, params)
+    return current
 
 
 def compose_piconcat_r(

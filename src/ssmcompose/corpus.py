@@ -112,14 +112,17 @@ def read_jsonl(path: str) -> list[CorpusItem]:
     try:
         with open(path) as f:
             lines = f.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read corpus: {exc}") from None
     items = []
-    for line in lines:
-        row = json.loads(line)
-        items.append(
-            CorpusItem(row["id"], row["context_text"], row["query"], row["continuation"])
-        )
+    for number, line in enumerate(lines, 1):
+        try:
+            row = json.loads(line)
+            items.append(
+                CorpusItem(row["id"], row["context_text"], row["query"], row["continuation"])
+            )
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise InvalidInputError(f"cannot read corpus {path}, line {number}: {exc!r}") from None
     return items
 
 

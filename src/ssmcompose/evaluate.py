@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compose import METHODS, OP_COUNTER, compose_caso, compose_piconcat_r
+from .compose import METHODS, OP_COUNTER, compose_concat, compose_piconcat_r, compose_states
 from .corpus import CorpusItem
 from .errors import ConfigMismatchError, InvalidInputError
 from .model import (
@@ -32,7 +32,6 @@ from .model import (
     TokenSequence,
     ToyModelParams,
     continuation_loss,
-    forward,
     zero_state,
 )
 from .store import StateStore, model_fingerprint
@@ -103,14 +102,11 @@ def compose_init_states(
     ids_asc = list(reversed(ids_desc))  # most relevant ends up closest to the query
     states_asc = store.load_states(ids_asc)
     if method == "concat":
-        current = states_asc[0].to_layer_states()
-        for cid in ids_asc[1:]:
-            _, current = forward(store.entry(cid).tokens, current, params)
-        return current
+        return compose_concat(states_asc[0], store.load_tokens(ids_asc[1:]), params)
     if method in METHODS:
-        return METHODS[method](states_asc).to_layer_states()
+        return compose_states(method, states_asc).to_layer_states()
     if method == "caso_worst":
-        return compose_caso(list(reversed(states_asc))).to_layer_states()
+        return compose_states("caso", states_asc[::-1]).to_layer_states()
     if method == "piconcat_r":
         seqs = store.load_tokens(ids_asc)
         return compose_piconcat_r(seqs, params).to_layer_states()

@@ -206,23 +206,28 @@ def load_params(path: str) -> ToyModelParams:
         archive = np.load(path)
     except (OSError, ValueError) as exc:  # missing, unreadable or not an archive
         raise InvalidInputError(f"cannot read model parameters from {path}: {exc}") from None
-    with archive as data:
-        config = ToyModelConfig.from_json(bytes(data["config_json"]).decode())
-        tensors = {
-            key.replace("__", "."): data[key] for key in data.files if key != "config_json"
-        }
-    layers = tuple(
-        LayerParams(
-            w_decay=tensors[f"layer{i}.w_decay"],
-            b_decay=tensors[f"layer{i}.b_decay"],
-            w_in=tensors[f"layer{i}.w_in"],
-            w_out=tensors[f"layer{i}.w_out"],
-            passthrough=tensors[f"layer{i}.passthrough"],
-            conv_kernel=tensors[f"layer{i}.conv_kernel"],
+    if not isinstance(archive, np.lib.npyio.NpzFile):  # a plain .npy array
+        raise InvalidInputError(f"cannot read model parameters from {path}: not an .npz archive")
+    try:
+        with archive as data:
+            config = ToyModelConfig.from_json(bytes(data["config_json"]).decode())
+            tensors = {
+                key.replace("__", "."): data[key] for key in data.files if key != "config_json"
+            }
+        layers = tuple(
+            LayerParams(
+                w_decay=tensors[f"layer{i}.w_decay"],
+                b_decay=tensors[f"layer{i}.b_decay"],
+                w_in=tensors[f"layer{i}.w_in"],
+                w_out=tensors[f"layer{i}.w_out"],
+                passthrough=tensors[f"layer{i}.passthrough"],
+                conv_kernel=tensors[f"layer{i}.conv_kernel"],
+            )
+            for i in range(config.num_layers)
         )
-        for i in range(config.num_layers)
-    )
-    return ToyModelParams(config, tensors["embedding"], layers, tensors["head"])
+        return ToyModelParams(config, tensors["embedding"], layers, tensors["head"])
+    except KeyError as exc:
+        raise InvalidInputError(f"cannot read model parameters from {path}: no {exc}") from None
 
 
 def init_params(config: ToyModelConfig, seed: int = 0) -> ToyModelParams:

@@ -264,19 +264,22 @@ class StateStore:
             raise InvalidInputError(f"not an SSDB file: {path}")
         manifest_offset = int.from_bytes(data[-20:-12], "little")
         manifest_length = int.from_bytes(data[-12:-4], "little")
-        manifest = json.loads(data[manifest_offset : manifest_offset + manifest_length])
-        if manifest["format_version"] != FORMAT_VERSION:
-            raise InvalidInputError(
-                f"unsupported store format version {manifest['format_version']}"
-            )
-        config = ToyModelConfig(**manifest["model"]["config"])
-        store = cls(config, manifest["model"]["fingerprint"])
-        for row in manifest["entries"]:
-            blob = data[row["offset"] : row["offset"] + row["length"]]
-            emb = Embedding(np.array(row["embedding"]), degenerate=row["degenerate"])
-            store._entries[row["id"]] = _blob_to_entry(
-                blob, row["id"], row["token_count"], config, emb
-            )
+        try:  # a cut or corrupted manifest fails to decode, parse or index
+            manifest = json.loads(data[manifest_offset : manifest_offset + manifest_length])
+            if manifest["format_version"] != FORMAT_VERSION:
+                raise InvalidInputError(
+                    f"unsupported store format version {manifest['format_version']}"
+                )
+            config = ToyModelConfig(**manifest["model"]["config"])
+            store = cls(config, manifest["model"]["fingerprint"])
+            for row in manifest["entries"]:
+                blob = data[row["offset"] : row["offset"] + row["length"]]
+                emb = Embedding(np.array(row["embedding"]), degenerate=row["degenerate"])
+                store._entries[row["id"]] = _blob_to_entry(
+                    blob, row["id"], row["token_count"], config, emb
+                )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InvalidInputError(f"damaged store manifest in {path}: {exc!r}") from None
         return store
 
 

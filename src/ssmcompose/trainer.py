@@ -37,6 +37,7 @@ from .model import (
     ScanResult,
     TokenSequence,
     ToyModelParams,
+    _log_softmax,
     layer_scan,
 )
 
@@ -277,11 +278,7 @@ def _query_loss(
 
     emb = scan.padded[w - 1 :]  # the scan's inputs
     y = scan.xs[sel] @ lp.w_out.T + scan.u[sel] @ lp.passthrough.T + emb[sel]
-    logits = y @ params.head.T
-    zmax = logits.max(axis=1, keepdims=True)
-    shifted = logits - zmax
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logz
+    logp = _log_softmax(y @ params.head.T)
     loss = float(-logp[np.arange(count), targets].mean())
     if not want_grad:
         return loss, None, None, None

@@ -23,8 +23,7 @@ from ssmcompose import (
     esp_all,
     esp_merge,
     init_params,
-    picaso_r_weights,
-    picaso_s_weights,
+    mixing_weights,
 )
 from ssmcompose.bench import synthetic_contexts
 from ssmcompose.compose import OP_COUNTER
@@ -71,6 +70,18 @@ def cyclic_weights_direct(decays):
             run = run * decays[(k + s) % n]
             acc = acc + run
         weights[k] = acc / n
+    return weights
+
+
+def caso_weights_running_product(decays):
+    """Oracle: W_i = A_{n-1} * ... * A_{i+1}, one scalar product at a time.  decays: (n, m)."""
+    n, m = decays.shape
+    weights = np.empty((n, m))
+    for c in range(m):
+        run = 1.0
+        for i in range(n - 1, -1, -1):
+            weights[i, c] = run
+            run = run * float(decays[i, c])
     return weights
 
 
@@ -127,6 +138,16 @@ class TestCaso:
         composed = compose_caso(states)
         oracle = encode_context(TokenSequence.concat(segs), params)
         npt.assert_allclose(composed.x[0], oracle.x_seg[0], rtol=1e-6)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_kernel_is_the_running_product(self, n):
+        rng = np.random.default_rng(20 + n)
+        ctxs = random_contexts(rng, n, m=6)
+        decays = np.stack([c.decay[0] for c in ctxs])
+        weights = caso_weights_running_product(decays)
+        npt.assert_array_equal(mixing_weights("caso", ctxs)[0], weights)
+        states = np.stack([c.x_seg[0] for c in ctxs])
+        npt.assert_array_equal(compose_caso(ctxs).x[0], np.sum(weights * states, axis=0))
 
     def test_conv_tail_is_mean(self):
         rng = np.random.default_rng(1)
@@ -202,22 +223,22 @@ class TestEsp:
 
 class TestSymmetricWeights:
     def test_single_context_weight_is_one(self):
-        w = picaso_s_weights([scalar_context(1.0, 0.5)])
-        npt.assert_array_equal(w.per_layer[0], [[1.0]])
+        w = mixing_weights("picaso_s", [scalar_context(1.0, 0.5)])
+        npt.assert_array_equal(w[0], [[1.0]])
 
     def test_two_context_formula(self):
-        w = picaso_s_weights([scalar_context(1.0, 0.25), scalar_context(2.0, 0.5)])
-        npt.assert_allclose(w.per_layer[0], [[0.75], [0.625]], rtol=1e-15)
+        w = mixing_weights("picaso_s", [scalar_context(1.0, 0.25), scalar_context(2.0, 0.5)])
+        npt.assert_allclose(w[0], [[0.75], [0.625]], rtol=1e-15)
 
     def test_identity_decays_give_unit_weights(self):
         ctxs = [scalar_context(float(i), 1.0, cid=str(i)) for i in range(5)]
-        w = picaso_s_weights(ctxs)
-        npt.assert_allclose(w.per_layer[0], np.ones((5, 1)), rtol=1e-12)
+        w = mixing_weights("picaso_s", ctxs)
+        npt.assert_allclose(w[0], np.ones((5, 1)), rtol=1e-12)
 
     def test_weights_in_unit_interval(self):
         rng = np.random.default_rng(3)
         for n in (2, 4, 7):
-            w = picaso_s_weights(random_contexts(rng, n)).per_layer[0]
+            w = mixing_weights("picaso_s", random_contexts(rng, n))[0]
             assert np.all(w > 0.0) and np.all(w <= 1.0 + 1e-12)
 
     def test_rejects_beyond_float_binomial_range(self):
@@ -225,7 +246,7 @@ class TestSymmetricWeights:
         rng = np.random.default_rng(14)
         ctxs = random_contexts(rng, 65, m=1)
         with pytest.raises(InvalidInputError):
-            picaso_s_weights(ctxs)
+            mixing_weights("picaso_s", ctxs)
 
 
 class TestPicasoS:
@@ -259,13 +280,13 @@ class TestPicasoS:
 
 class TestPicasoR:
     def test_single_context_weight_is_one(self):
-        w = picaso_r_weights([scalar_context(1.0, 0.5)])
-        npt.assert_array_equal(w.per_layer[0], [[1.0]])
+        w = mixing_weights("picaso_r", [scalar_context(1.0, 0.5)])
+        npt.assert_array_equal(w[0], [[1.0]])
 
     def test_three_equal_decays(self):
         ctxs = [scalar_context(1.0, 0.5, cid=str(i)) for i in range(3)]
-        w = picaso_r_weights(ctxs)
-        npt.assert_allclose(w.per_layer[0], np.full((3, 1), (1 + 0.5 + 0.25) / 3), rtol=1e-12)
+        w = mixing_weights("picaso_r", ctxs)
+        npt.assert_allclose(w[0], np.full((3, 1), (1 + 0.5 + 0.25) / 3), rtol=1e-12)
         npt.assert_allclose(compose_picaso_r(ctxs).x[0], [1.75], rtol=1e-12)
 
     def test_matches_rotation_mean(self):
@@ -309,7 +330,7 @@ class TestPicasoR:
                     conv_tail=(np.zeros((2, 2)),),
                 )
             )
-        w = picaso_r_weights(ctxs).per_layer[0]
+        w = mixing_weights("picaso_r", ctxs)[0]
         npt.assert_allclose(w, cyclic_weights_direct(decays), rtol=1e-9)
         assert np.isfinite(w).all()
 
@@ -319,7 +340,7 @@ class TestPicasoR:
         # Tiny, near-identity and mixed decays all take the one recurrence.
         rng = np.random.default_rng(n)
         decays = rng.uniform(*decay_range, (n, 8))
-        w = picaso_r_weights(decay_contexts(decays)).per_layer[0]
+        w = mixing_weights("picaso_r", decay_contexts(decays))[0]
         npt.assert_allclose(w, cyclic_weights_direct(decays), rtol=1e-12)
 
     def test_op_count_does_not_depend_on_decays(self):
@@ -337,7 +358,7 @@ class TestPicasoR:
         counts = []
         for ctxs in (encoded, synthetic):
             OP_COUNTER.reset()
-            picaso_r_weights(ctxs)
+            mixing_weights("picaso_r", ctxs)
             counts.append(OP_COUNTER.count)
         assert counts[0] == counts[1]
 
@@ -352,7 +373,7 @@ class TestPicasoR:
         )
         object.__setattr__(bad, "decay", (np.array([0.0]),))  # bypass constructor guard
         with pytest.raises(InvalidInputError):
-            picaso_r_weights([c, bad])
+            mixing_weights("picaso_r", [c, bad])
 
 
 class TestSoup:

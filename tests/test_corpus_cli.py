@@ -157,6 +157,15 @@ class TestCliPipeline:
         )
         return corpus, store
 
+    @pytest.mark.parametrize("method", ["caso", "soup"])
+    def test_compose_verbose_prints_weights_of_every_method(self, workspace, tmp_path, capsys, method):
+        _, store_path = workspace
+        ids = StateStore.open(str(store_path)).ids()[:3]
+        out = tmp_path / "state.ssbl"
+        argv = ["compose", "--store", str(store_path), "--method", method, "--out", str(out)]
+        assert main(argv + ["--verbose"] + ids) == 0
+        assert "mean weight per context" in capsys.readouterr().out
+
     def test_compose_writes_loadable_state(self, workspace, tmp_path, capsys):
         _, store_path = workspace
         store = StateStore.open(str(store_path))
@@ -304,18 +313,37 @@ class TestCliPipeline:
         assert payload["selected_id"] in ids
 
     @pytest.mark.parametrize(
-        "case", ["missing_model", "garbage_model", "missing_corpus", "missing_store"]
+        "case",
+        [
+            "missing_model",
+            "garbage_model",
+            "npy_model",
+            "model_without_config",
+            "missing_corpus",
+            "corpus_not_json",
+            "corpus_missing_field",
+            "missing_store",
+        ],
     )
     def test_unreadable_input_file_exit_code(self, workspace, tmp_path, capsys, case):
         corpus, _ = workspace
         missing = str(tmp_path / "missing")
         garbage = tmp_path / "garbage.npz"
         garbage.write_bytes(b"not a parameter archive")
+        np.save(tmp_path / "plain.npy", np.zeros(3))
+        np.savez(tmp_path / "no_config.npz", embedding=np.zeros((256, 6)))
+        (tmp_path / "not_json.jsonl").write_text("not json\n")
+        (tmp_path / "no_field.jsonl").write_text('{"id": "d0", "context_text": "a : b . "}\n')
         build = ["build-db", "--store", str(tmp_path / "new.ssdb")]
         argv = {
             "missing_model": build + ["--corpus", str(corpus), "--model", missing],
             "garbage_model": build + ["--corpus", str(corpus), "--model", str(garbage)],
+            "npy_model": build + ["--corpus", str(corpus), "--model", str(tmp_path / "plain.npy")],
+            "model_without_config": build
+            + ["--corpus", str(corpus), "--model", str(tmp_path / "no_config.npz")],
             "missing_corpus": build + ["--corpus", missing],
+            "corpus_not_json": build + ["--corpus", str(tmp_path / "not_json.jsonl")],
+            "corpus_missing_field": build + ["--corpus", str(tmp_path / "no_field.jsonl")],
             "missing_store": ["compose", "--store", missing, "--out", str(tmp_path / "s.ssbl"), "id"],
         }[case]
         capsys.readouterr()

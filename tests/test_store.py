@@ -156,5 +156,24 @@ class TestSerialization:
     def test_rejects_garbage_file(self, tmp_path):
         path = tmp_path / "junk.ssdb"
         path.write_bytes(b"not a store at all")
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidInputError):
+            StateStore.open(str(path))
+
+    @pytest.mark.parametrize("damage", ["middle_cut_out", "flipped_manifest_byte", "missing_key"])
+    def test_rejects_damaged_manifest(self, model, tmp_path, damage):
+        _, params = model
+        store = StateStore.create(params)
+        for i in range(3):
+            store.insert(TokenSequence(np.arange(12) + i), params)
+        path = tmp_path / "db.ssdb"
+        store.save(str(path))
+        data = path.read_bytes()
+        at = data.index(b'"entries"')
+        damaged = {
+            "middle_cut_out": data[: len(data) // 3] + data[2 * len(data) // 3 :],
+            "flipped_manifest_byte": data[:at] + bytes([data[at] ^ 0x80]) + data[at + 1 :],
+            "missing_key": data.replace(b'"fingerprint"', b'"fingerprinT"'),
+        }[damage]
+        path.write_bytes(damaged)
+        with pytest.raises(InvalidInputError, match="damaged store manifest"):
             StateStore.open(str(path))

@@ -16,7 +16,7 @@ from ssmcompose import (
     encode_context,
     init_params,
     layer_scan,
-    picaso_r_weights,
+    mixing_weights,
     zero_state,
 )
 from ssmcompose.compose import _cyclic_weights_1layer
@@ -189,7 +189,7 @@ class TestCyclicMix:
         comp = _compose_init(ex, params)
         states = [encode_context(rc.tokens, params) for rc in ex.contexts]
         npt.assert_array_equal(comp.weights, _cyclic_weights_1layer(comp.decays)[0])
-        npt.assert_array_equal(comp.weights, picaso_r_weights(states).per_layer[0])
+        npt.assert_array_equal(comp.weights, mixing_weights("picaso_r", states)[0])
 
 
 class TestTrain:
