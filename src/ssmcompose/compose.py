@@ -18,15 +18,16 @@ still a per-channel linear combination sum_k W_k * x_k:
 
 Every state-mixing method is a weight kernel: per layer it maps the stacked
 decays (n, m) to weights (n, m), and `compose_states` forms sum_k W_k * x_k.
-`caso` weighs each context by the running product of the decays after it,
+`caso` weighs each context by the running product of the decays after it
+(like the cyclic recurrence, a reversed model._affine_scan),
 `soup` (plain averaging, a baseline) by 1/n, `picaso_s` and `picaso_r` by the
 group averages above.  `METHODS` names the kernels.  `piconcat_r`
 (rotation-averaged re-scans, n model calls) and `concat` (chained re-scans)
 are the baselines that call the model.  Conv windows are combined by plain
 averaging in every mixing method.
 
-All functions here are pure; arithmetic is instrumented through OP_COUNTER so
-asymptotic cost can be measured (see bench module).
+All functions here are pure; arithmetic is instrumented through OP_COUNTER (a
+model.Counter) so asymptotic cost can be measured (see bench module).
 """
 
 from __future__ import annotations
@@ -39,9 +40,11 @@ import numpy as np
 from .errors import InvalidInputError
 from .model import (
     ContextState,
+    Counter,
     LayerState,
     TokenSequence,
     ToyModelParams,
+    _affine_scan,
     encode_context,
     forward,
 )
@@ -51,20 +54,8 @@ from .model import (
 MAX_SYMMETRIC_N = 64
 
 
-class OpCounter:
-    """Scalar-equivalent arithmetic counter (vector ops add their length)."""
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def add(self, k: int) -> None:
-        self.count += int(k)
-
-    def reset(self) -> None:
-        self.count = 0
-
-
-OP_COUNTER = OpCounter()
+#: Scalar-equivalent arithmetic of every kernel here.
+OP_COUNTER = Counter()
 
 
 @dataclass(frozen=True)
@@ -186,11 +177,8 @@ def _cyclic_weights_1layer(decays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n, m = decays.shape
     doubled = np.concatenate([decays, decays], axis=0)
-    h = np.empty((2 * n, m))
-    h[-1] = 1.0
-    for i in range(2 * n - 2, -1, -1):  # in place: halves the per-step overhead
-        np.multiply(doubled[i + 1], h[i + 1], out=h[i])
-        h[i] += 1.0
+    ones = np.ones((2 * n - 1, m))
+    h = np.concatenate([_affine_scan(doubled[:0:-1], ones, np.ones(m))[::-1], ones[:1]])
     total = np.prod(decays, axis=0)
     # One context is its own only rotation: weight exactly 1, not (1 + A) - A.
     weights = (h[:n] - total * h[n:]) / n if n > 1 else np.ones((1, m))
@@ -201,13 +189,9 @@ def _cyclic_weights_1layer(decays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _caso_weights(decays: np.ndarray) -> np.ndarray:
     """Ordered weights: W_i = A_n * ... * A_{i+1}, a right-to-left running product."""
     n, m = decays.shape
-    weights = np.ones((n, m))
-    run = np.ones(m)
-    for i in range(n - 2, -1, -1):
-        run = run * decays[i + 1]
-        weights[i] = run
+    later = _affine_scan(decays[:0:-1], np.zeros((n - 1, m)), np.ones(m))[::-1]
     OP_COUNTER.add(n * m)
-    return weights
+    return np.concatenate([later, np.ones((1, m))])
 
 
 def _soup_weights(decays: np.ndarray) -> np.ndarray:
@@ -298,20 +282,16 @@ def compose_piconcat_r(
         raise InvalidInputError("need at least one context sequence")
     if any(len(s) == 0 for s in context_sequences):
         raise InvalidInputError("context sequences must be non-empty")
-    L = params.config.num_layers
-    acc_x = [None] * L
-    acc_tail = [None] * L
-    for r in range(n):
-        rotated = list(context_sequences[r:]) + list(context_sequences[:r])
-        state = encode_context(TokenSequence.concat(rotated), params)
-        for layer in range(L):
-            x, tail = state.x_seg[layer], state.conv_tail[layer]
-            acc_x[layer] = x if acc_x[layer] is None else acc_x[layer] + x
-            acc_tail[layer] = tail if acc_tail[layer] is None else acc_tail[layer] + tail
-            OP_COUNTER.add(x.size + tail.size)
-    xs = tuple(a / n for a in acc_x)
-    tails = tuple(a / n for a in acc_tail)
-    return ComposedState(xs, tails, (), "piconcat_r")
+    rotations = [[*context_sequences[r:], *context_sequences[:r]] for r in range(n)]
+    states = [encode_context(TokenSequence.concat(rot), params) for rot in rotations]
+    xs, tails = [], []
+    for layer in range(params.config.num_layers):
+        x = np.stack([s.x_seg[layer] for s in states])
+        tail = np.stack([s.conv_tail[layer] for s in states])
+        OP_COUNTER.add(x.size + tail.size)
+        xs.append(x.mean(axis=0))
+        tails.append(tail.mean(axis=0))
+    return ComposedState(tuple(xs), tuple(tails), (), "piconcat_r")
 
 
 def caso_distance_bound(a: ContextState, b: ContextState) -> list[tuple[float, float]]:

@@ -14,8 +14,10 @@ decay is strictly inside (0,1), a whole segment collapses to the pair
 (accumulated state, accumulated elementwise decay product), which is what the
 composition algorithms operate on.
 
-layer_scan is the only implementation of the recurrence: forward,
-encode_context and the trainer's objectives all run it.
+_affine_scan is the one loop over x_t = a_t * x_{t-1} + b_t: layer_scan, the
+trainer's adjoints, the cyclic weights and caso's running product all run it.
+layer_scan is the one forward scan: forward, encode_context and the trainer's
+objectives all run it.
 
 Everything is float64 and purely functional: parameters and states are frozen
 after construction, so they can be shared freely across threads.
@@ -37,18 +39,21 @@ INIT_SCALE = 0.02
 DECAY_BIAS_INIT = 1.0
 
 
-class CallCounter:
-    """Counts model forward scans (used for cost accounting in eval/bench)."""
+class Counter:
+    """Cost counter for eval/bench: model scans, or scalar ops (vector ops add their length)."""
 
     def __init__(self) -> None:
         self.count = 0
+
+    def add(self, k: int) -> None:
+        self.count += int(k)
 
     def reset(self) -> None:
         self.count = 0
 
 
-#: Incremented once per ``forward`` invocation.  Single-threaded use assumed.
-FORWARD_CALLS = CallCounter()
+#: Incremented once per ``forward`` or ``encode_context`` call.  Single-threaded use assumed.
+FORWARD_CALLS = Counter()
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -313,6 +318,20 @@ def embed(seq: TokenSequence, params: ToyModelParams) -> np.ndarray:
     return params.embedding[seq.tokens]
 
 
+def _affine_scan(a: np.ndarray, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Every x_t of x_t = a_t * x_{t-1} + b_t for t < T = len(a), from x_{-1} = x0.
+
+    a, b: (T, m); x0: (m,); returns (T, m).  Each step forms a_t * x_{t-1}, then
+    adds b_t, in place in its output row.  Callers that scan backwards reverse.
+    """
+    xs = np.empty((len(a),) + np.shape(x0))
+    x = x0
+    for t in range(len(a)):
+        x = np.multiply(a[t], x, out=xs[t])
+        x += b[t]
+    return xs
+
+
 def layer_scan(
     inputs: np.ndarray,
     init: LayerState,
@@ -336,12 +355,7 @@ def layer_scan(
     gates = 1.0 / (1.0 + np.exp(-(u @ layer.w_decay.T + layer.b_decay)))  # (T, m)
     drive = u @ layer.w_in.T  # (T, m)
 
-    xs = np.empty((T, layer.w_in.shape[0]))
-    x = init.x
-    for t in range(T):
-        x = gates[t] * x + drive[t]
-        xs[t] = x
-
+    xs = _affine_scan(gates, drive, init.x)
     if not np.isfinite(xs).all():
         bad = int(np.flatnonzero(~np.isfinite(xs).all(axis=1))[0])
         raise NumericOverflowError(f"non-finite state at time step {bad}")
@@ -379,7 +393,7 @@ def forward(
         raise InvalidInputError(
             f"expected {cfg.num_layers} layer states, got {len(init_states)}"
         )
-    FORWARD_CALLS.count += 1
+    FORWARD_CALLS.add(1)
     h, scans = _run_layers(embed(seq, params), init_states, params)
     return h @ params.head.T, [res.final for res in scans]
 
@@ -390,7 +404,7 @@ def encode_context(
     """Scan a segment from the zero state and package its composable summary."""
     if len(seq) == 0:
         raise InvalidInputError("cannot encode an empty context")
-    FORWARD_CALLS.count += 1
+    FORWARD_CALLS.add(1)
     _, scans = _run_layers(embed(seq, params), zero_state(params.config), params)
     return ContextState(
         context_id=context_id,

@@ -206,7 +206,10 @@ class StateStore:
     def save(self, path: str) -> None:
         """Write the whole store atomically, holding `<path>.lock` meanwhile."""
         lock_path = path + ".lock"
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        try:
+            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:  # a live or a stale writer's lock: leave it in place
+            raise InvalidInputError(f"store is locked: {lock_path} exists") from None
         try:
             blob_parts = []
             index = []
@@ -315,15 +318,26 @@ def save_composed_state(path: str, composed, config: ToyModelConfig) -> None:
 def load_composed_state(path: str):
     from .compose import ComposedState
 
-    with open(path, "rb") as f:
-        data = f.read()
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read composed state: {exc}") from None
     if data[:4] != STATE_MAGIC:
         raise InvalidInputError(f"not a composed-state file: {path}")
     header_len = int.from_bytes(data[4:12], "little")
-    header = json.loads(data[12 : 12 + header_len])
-    config = ToyModelConfig(**header["config"])
+    try:  # a cut or corrupted header fails to decode, parse or index
+        header = json.loads(data[12 : 12 + header_len])
+        if header["format_version"] != FORMAT_VERSION:
+            raise InvalidInputError(f"unsupported format version {header['format_version']}")
+        config = ToyModelConfig(**header["config"])
+        provenance, method = tuple(header["provenance"]), header["method"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InvalidInputError(f"damaged composed-state header in {path}: {exc!r}") from None
     m, d, w = config.state_dim, config.embed_dim, config.conv_width
     off = 12 + header_len
+    if len(data) != off + config.num_layers * (m + d * w) * 8:
+        raise InvalidInputError(f"composed-state file {path} has the wrong length")
     xs, tails = [], []
     for _ in range(config.num_layers):
         xs.append(np.frombuffer(data, dtype="<f8", count=m, offset=off).astype(np.float64))
@@ -334,9 +348,4 @@ def load_composed_state(path: str):
             .astype(np.float64)
         )
         off += d * w * 8
-    return ComposedState(
-        x=tuple(xs),
-        conv_tail=tuple(tails),
-        provenance=tuple(header["provenance"]),
-        method=header["method"],
-    )
+    return ComposedState(x=tuple(xs), conv_tail=tuple(tails), provenance=provenance, method=method)

@@ -12,7 +12,9 @@ Context scans are recomputed online from raw tokens each time (the stored
 database states are a cache, not the differentiation target).  Every scan is
 model.layer_scan; reverse-mode derivatives are written out by hand against its
 arithmetic, so they can be checked coordinate by coordinate against central
-finite differences (see gradient_check).  Restricted to num_layers == 1: the
+finite differences (see gradient_check).  The adjoints of the state recurrence
+and of the cyclic weights are the same affine recurrence run the other way, so
+they call model._affine_scan too.  Restricted to num_layers == 1: the
 multi-layer composition is itself an approximation, and these gradients are
 meant to be exact.
 """
@@ -37,6 +39,7 @@ from .model import (
     ScanResult,
     TokenSequence,
     ToyModelParams,
+    _affine_scan,
     _log_softmax,
     layer_scan,
 )
@@ -145,23 +148,15 @@ def _scan_backward(
     T, m = scan.gates.shape
     w = lp.conv_kernel.shape[1]
 
-    d_gates = np.zeros((T, m))
-    d_drive = np.zeros((T, m))
-
+    # The gradient reaching xs[t], which is d_drive[t], is the forward recurrence
+    # run backwards in time from g_final: g[t] = gates[t+1] * g[t+1] + d_xs[t].
+    carry = np.concatenate([np.ones((1, m)), scan.gates[:0:-1]])
+    seeds = np.zeros((T, m)) if d_xs is None else d_xs[::-1]
+    d_drive = _affine_scan(carry, seeds, np.zeros(m) if g_final is None else g_final)[::-1]
+    d_gates = d_drive * np.concatenate([x0[None], scan.xs[:-1]])
     if g_decay is not None:
         d_gates += g_decay * _exclusive_products(scan.gates)
-
-    gx = np.zeros(m)
-    if g_final is not None:
-        gx = gx + g_final
-    for t in range(T - 1, -1, -1):
-        if d_xs is not None:
-            gx = gx + d_xs[t]
-        x_prev = scan.xs[t - 1] if t > 0 else x0
-        d_gates[t] += gx * x_prev
-        d_drive[t] += gx
-        gx = gx * scan.gates[t]
-    g_x0 = gx
+    g_x0 = d_drive[0] * scan.gates[0]
 
     dz = d_gates * scan.gates * (1.0 - scan.gates)
     grads["layer0.w_decay"] += dz.T @ scan.u
@@ -211,11 +206,8 @@ def _cyclic_mix_backward(
     total = np.prod(decays, axis=0)
     g_h = np.concatenate([g, -total * g], axis=0)
     doubled = np.concatenate([decays, decays], axis=0)
-    acc = np.empty((2 * n - 1, m))  # acc[i]: total gradient reaching h[i]
-    acc[0] = g_h[0]
-    for i in range(1, 2 * n - 1):
-        np.multiply(doubled[i], acc[i - 1], out=acc[i])
-        acc[i] += g_h[i]
+    # acc[i]: total gradient reaching h[i], acc[i] = D[i] * acc[i-1] + g_h[i].
+    acc = np.concatenate([g_h[:1], _affine_scan(doubled[1:-1], g_h[1:-1], g_h[0])])
     d_doubled = np.zeros((2 * n, m))
     d_doubled[1:] = acc * h[1:]
     g_total = -(g * h[n:]).sum(axis=0)

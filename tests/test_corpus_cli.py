@@ -350,6 +350,16 @@ class TestCliPipeline:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: cannot read")
 
+    def test_stale_lock_exit_code(self, workspace, capsys):
+        corpus, store_path = workspace
+        before = store_path.read_bytes()
+        lock = store_path.parent / (store_path.name + ".lock")
+        lock.write_bytes(b"")
+        capsys.readouterr()
+        assert main(["build-db", "--corpus", str(corpus), "--store", str(store_path)]) == 2
+        assert str(lock) in capsys.readouterr().err
+        assert lock.exists() and store_path.read_bytes() == before
+
     def test_invalid_input_exit_code(self, tmp_path):
         assert main(["gen-corpus", "--seed", "1", "--num-docs", "0", "--out", str(tmp_path / "x")]) == 2
 

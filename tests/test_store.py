@@ -14,9 +14,17 @@ from ssmcompose import (
     NotFoundError,
     TokenSequence,
     ToyModelConfig,
+    compose_picaso_r,
     init_params,
 )
-from ssmcompose.store import EMBED_DIM, FORMAT_VERSION, StateStore, embed_text
+from ssmcompose.store import (
+    EMBED_DIM,
+    FORMAT_VERSION,
+    StateStore,
+    embed_text,
+    load_composed_state,
+    save_composed_state,
+)
 
 
 @pytest.fixture()
@@ -177,3 +185,62 @@ class TestSerialization:
         path.write_bytes(damaged)
         with pytest.raises(InvalidInputError, match="damaged store manifest"):
             StateStore.open(str(path))
+
+    def test_stale_lock_is_a_typed_error(self, model, tmp_path):
+        _, params = model
+        store = StateStore.create(params)
+        store.insert(TokenSequence(np.arange(12)), params)
+        path = tmp_path / "db.ssdb"
+        lock = tmp_path / "db.ssdb.lock"
+        lock.write_bytes(b"held")
+        with pytest.raises(InvalidInputError, match="db.ssdb.lock"):
+            store.save(str(path))
+        assert lock.read_bytes() == b"held"
+        assert not path.exists()
+
+
+class TestComposedStateFile:
+    def _saved(self, model, tmp_path):
+        cfg, params = model
+        store = StateStore.create(params)
+        ids = [store.insert(TokenSequence(np.arange(12) + i), params) for i in range(3)]
+        composed = compose_picaso_r(store.load_states(ids))
+        path = tmp_path / "c.ssbl"
+        save_composed_state(str(path), composed, cfg)
+        return path, composed
+
+    def test_round_trip_bit_exact(self, model, tmp_path):
+        path, composed = self._saved(model, tmp_path)
+        loaded = load_composed_state(str(path))
+        assert (loaded.method, loaded.provenance) == (composed.method, composed.provenance)
+        for a, b in zip(composed.x + composed.conv_tail, loaded.x + loaded.conv_tail):
+            assert a.tobytes() == b.tobytes()
+
+    @staticmethod
+    def _with_header(data, edit):
+        """The same file with its JSON header edited and its length field kept right."""
+        length = int.from_bytes(data[4:12], "little")
+        header = json.loads(data[12 : 12 + length])
+        edit(header)
+        new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        return data[:4] + len(new).to_bytes(8, "little") + new + data[12 + length :]
+
+    @pytest.mark.parametrize(
+        "damage", ["missing_file", "cut_10_bytes", "garbage_header", "version_99", "missing_key"]
+    )
+    def test_rejects_damaged_file(self, model, tmp_path, damage):
+        path, _ = self._saved(model, tmp_path)
+        data = path.read_bytes()
+        damaged = {
+            "missing_file": None,
+            "cut_10_bytes": data[:-10],
+            "garbage_header": data[:12] + bytes([0xFF]) * 20 + data[32:],
+            "version_99": self._with_header(data, lambda h: h.update(format_version=99)),
+            "missing_key": self._with_header(data, lambda h: h.pop("method")),
+        }[damage]
+        if damaged is None:
+            path.unlink()
+        else:
+            path.write_bytes(damaged)
+        with pytest.raises(InvalidInputError):
+            load_composed_state(str(path))

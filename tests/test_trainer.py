@@ -20,6 +20,7 @@ from ssmcompose import (
     zero_state,
 )
 from ssmcompose.compose import _cyclic_weights_1layer
+from ssmcompose.model import _affine_scan
 from ssmcompose.trainer import (
     RetrievedContext,
     TrainExample,
@@ -132,18 +133,27 @@ class TestGradients:
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_every_scan_is_the_model_layer_scan(self, n, monkeypatch):
         # One scan per context plus the query scan, all through model.layer_scan.
+        # Every recurrence runs model._affine_scan: those n+1 scans, their n+1
+        # adjoints, and with contexts the cyclic weights and their adjoint.
         _, params = toy()
         ex = make_example(np.random.default_rng(30 + n), n_contexts=n)
-        calls = []
+        calls, affine = [], []
 
         def counting(*args, **kwargs):
             calls.append(args[0].shape[0])
             return layer_scan(*args, **kwargs)
 
+        def counting_affine(*args):
+            affine.append(len(args[0]))
+            return _affine_scan(*args)
+
         monkeypatch.setattr("ssmcompose.trainer.layer_scan", counting)
+        for module in ("model", "compose", "trainer"):
+            monkeypatch.setattr(f"ssmcompose.{module}._affine_scan", counting_affine)
         grad_bptc(ex, params)
         lengths = [len(rc.tokens) for rc in ex.contexts] + [len(ex.query) + len(ex.continuation)]
         assert calls == lengths
+        assert len(affine) == (2 * n + 4 if n else 2)
 
     def test_gradients_differ_between_objectives(self):
         _, params = toy()
