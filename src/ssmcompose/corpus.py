@@ -92,7 +92,11 @@ def generate_corpus(seed: int, num_docs: int) -> list[CorpusItem]:
 
 
 def write_jsonl(items: Sequence[CorpusItem], path: str) -> None:
-    with open(path, "w") as f:
+    try:
+        f = open(path, "w")
+    except OSError as exc:  # e.g. the directory does not exist
+        raise InvalidInputError(f"cannot write corpus: {exc}") from None
+    with f:
         for it in items:
             f.write(
                 json.dumps(

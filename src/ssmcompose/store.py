@@ -11,11 +11,12 @@ canonical-JSON manifest and a 20-byte footer locating it:
 
 The manifest carries the model fingerprint (config + parameter checksum) so a
 store can never mix states produced by different models, plus one index row
-(id, offset, length, token_count, embedding) per entry.
+(id, offset, length, token_count) per entry.
 
 Retrieval is a deliberately simple deterministic embedder: signed feature
 hashing of token 3-grams (FNV-1a 64-bit) into a fixed number of buckets,
-L2-normalized, compared by cosine.  See docs/format.md for the byte-level
+L2-normalized, compared by cosine.  Embeddings are not stored: `open` derives
+each one from the entry's tokens.  See docs/format.md for the byte-level
 layout and the exact hash definition.
 """
 
@@ -33,12 +34,22 @@ from .errors import ConfigMismatchError, InvalidInputError, NotFoundError
 from .model import ContextState, TokenSequence, ToyModelConfig, ToyModelParams, encode_context
 
 MAGIC = b"SSDB"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 EMBED_DIM = 256
 STORE_PATH_ENV = "SSMCOMPOSE_STORE"
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
+
+#: `query` ranks by one matrix-vector product, whose scores may differ from a
+#: per-entry `np.dot(q, row)` in the last bits, and re-scores with `np.dot`
+#: every entry whose product is within NEAR_TIE_TOL of the k-th largest.  The
+#: rule that makes this exact: every entry outside that set has at least k
+#: entries that strictly beat it.  It holds because rows and queries are unit
+#: (or zero) vectors of EMBED_DIM entries, so either product lies within
+#: EMBED_DIM * 2**-53 (< 3e-14) of the true cosine, and NEAR_TIE_TOL exceeds
+#: four times that.
+NEAR_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,7 +107,6 @@ class StoreEntry:
     context_id: str
     state: ContextState
     tokens: TokenSequence
-    embedding: Embedding
 
 
 def _state_blob(state: ContextState, tokens: TokenSequence) -> bytes:
@@ -109,7 +119,7 @@ def _state_blob(state: ContextState, tokens: TokenSequence) -> bytes:
 
 
 def _blob_to_entry(
-    blob: bytes, context_id: str, token_count: int, config: ToyModelConfig, embedding: Embedding
+    blob: bytes, context_id: str, token_count: int, config: ToyModelConfig
 ) -> StoreEntry:
     m, d, w, L = config.state_dim, config.embed_dim, config.conv_width, config.num_layers
     xs, decays, tails = [], [], []
@@ -133,16 +143,23 @@ def _blob_to_entry(
         decay=tuple(decays),
         conv_tail=tuple(tails),
     )
-    return StoreEntry(context_id, state, tokens, embedding)
+    return StoreEntry(context_id, state, tokens)
 
 
 class StateStore:
-    """In-memory view of an SSDB file; explicit save/open, single-writer lock."""
+    """In-memory view of an SSDB file; explicit save/open, single-writer lock.
+
+    Entries keep insertion order; row i of the embedding matrix is the
+    `embed_text` vector of the i-th entry, and the only in-memory copy of it.
+    """
 
     def __init__(self, config: ToyModelConfig, fingerprint: str):
         self.config = config
         self.fingerprint = fingerprint
         self._entries: dict[str, StoreEntry] = {}
+        self._ids: list[str] = []  # entry id of each matrix row
+        self._matrix = np.empty((0, EMBED_DIM))  # spare rows beyond len(self) are unused
+        self._checked_params: ToyModelParams | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -151,13 +168,13 @@ class StateStore:
         return cls(params.config, model_fingerprint(params))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._ids)
 
     def __contains__(self, context_id: str) -> bool:
         return context_id in self._entries
 
     def ids(self) -> list[str]:
-        return list(self._entries)
+        return list(self._ids)
 
     def entry(self, context_id: str) -> StoreEntry:
         try:
@@ -165,35 +182,56 @@ class StateStore:
         except KeyError:
             raise NotFoundError(f"unknown context id: {context_id}") from None
 
+    def _add(self, entry: StoreEntry) -> None:
+        n = len(self._ids)
+        if n == len(self._matrix):
+            grown = np.empty((max(2 * n, 64), EMBED_DIM))
+            grown[:n] = self._matrix
+            self._matrix = grown
+        self._matrix[n] = embed_text(entry.tokens).v
+        self._ids.append(entry.context_id)
+        self._entries[entry.context_id] = entry
+
     # -- operations --------------------------------------------------------
 
     def insert(self, tokens: TokenSequence, params: ToyModelParams) -> str:
         """Encode and store a segment; idempotent on content (hash id)."""
-        if model_fingerprint(params) != self.fingerprint:
-            raise ConfigMismatchError("store was built with a different model")
+        # ToyModelParams is frozen with read-only arrays, so one object's
+        # fingerprint cannot change: hash each params object once.
+        if params is not self._checked_params:
+            if model_fingerprint(params) != self.fingerprint:
+                raise ConfigMismatchError("store was built with a different model")
+            self._checked_params = params
         if len(tokens) == 0:
             raise InvalidInputError("cannot store an empty context")
         context_id = _content_id(tokens)
         if context_id in self._entries:
             return context_id
         state = encode_context(tokens, params, context_id=context_id)
-        self._entries[context_id] = StoreEntry(
-            context_id, state, tokens, embed_text(tokens)
-        )
+        self._add(StoreEntry(context_id, state, tokens))
         return context_id
 
     def query(self, query_tokens: TokenSequence, k: int) -> list[tuple[str, float]]:
-        """Top-k entries by cosine similarity, score-descending, id tie-break."""
+        """Top-k entries by cosine similarity, score-descending, id tie-break.
+
+        Scores are `np.dot(q, row)` per entry, exactly as a full scan and sort
+        would return them; see NEAR_TIE_TOL for why re-scoring only the near
+        ties of one matrix-vector product gives the same list.
+        """
         if k < 1:
             raise InvalidInputError("k must be >= 1")
-        if not self._entries:
+        n = len(self._ids)
+        if n == 0:
             return []
-        q = embed_text(query_tokens)
-        scored = [
-            (cid, float(np.dot(q.v, e.embedding.v))) for cid, e in self._entries.items()
-        ]
+        k = min(k, n)
+        q = embed_text(query_tokens).v
+        rows = self._matrix[:n]
+        approx = np.dot(rows, q)
+        kth = np.partition(approx, n - k)[n - k]
+        near = np.flatnonzero(approx >= kth - NEAR_TIE_TOL)
+        scored = [(self._ids[i], float(np.dot(q, rows[i]))) for i in near]
         scored.sort(key=lambda item: (-item[1], item[0]))
-        return scored[: min(k, len(scored))]
+        return scored[:k]
 
     def load_states(self, ids: Sequence[str]) -> list[ContextState]:
         return [self.entry(cid).state for cid in ids]
@@ -210,6 +248,8 @@ class StateStore:
             fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:  # a live or a stale writer's lock: leave it in place
             raise InvalidInputError(f"store is locked: {lock_path} exists") from None
+        except OSError as exc:  # e.g. the directory does not exist
+            raise InvalidInputError(f"cannot write store: {exc}") from None
         try:
             blob_parts = []
             index = []
@@ -222,8 +262,6 @@ class StateStore:
                         "offset": offset,
                         "length": len(blob),
                         "token_count": len(e.tokens),
-                        "embedding": e.embedding.v.tolist(),
-                        "degenerate": e.embedding.degenerate,
                     }
                 )
                 blob_parts.append(blob)
@@ -251,6 +289,8 @@ class StateStore:
                     f.write(blob)
                 f.write(manifest_bytes)
                 f.write(footer)
+                f.flush()
+                os.fsync(f.fileno())  # the data is durable before the rename publishes it
             os.replace(tmp, path)
         finally:
             os.close(fd)
@@ -275,12 +315,15 @@ class StateStore:
                 )
             config = ToyModelConfig(**manifest["model"]["config"])
             store = cls(config, manifest["model"]["fingerprint"])
-            for row in manifest["entries"]:
+            rows = manifest["entries"]
+            store._matrix = np.empty((len(rows), EMBED_DIM))
+            for row in rows:
+                if row["id"] in store._entries:
+                    raise InvalidInputError(
+                        f"damaged store manifest in {path}: id {row['id']} listed twice"
+                    )
                 blob = data[row["offset"] : row["offset"] + row["length"]]
-                emb = Embedding(np.array(row["embedding"]), degenerate=row["degenerate"])
-                store._entries[row["id"]] = _blob_to_entry(
-                    blob, row["id"], row["token_count"], config, emb
-                )
+                store._add(_blob_to_entry(blob, row["id"], row["token_count"], config))
         except (ValueError, KeyError, TypeError) as exc:
             raise InvalidInputError(f"damaged store manifest in {path}: {exc!r}") from None
         return store
@@ -306,7 +349,11 @@ def save_composed_state(path: str, composed, config: ToyModelConfig) -> None:
         sort_keys=True,
         separators=(",", ":"),
     ).encode()
-    with open(path, "wb") as f:
+    try:
+        f = open(path, "wb")
+    except OSError as exc:  # e.g. the directory does not exist
+        raise InvalidInputError(f"cannot write composed state: {exc}") from None
+    with f:
         f.write(STATE_MAGIC)
         f.write(len(header).to_bytes(8, "little"))
         f.write(header)

@@ -360,6 +360,21 @@ class TestCliPipeline:
         assert str(lock) in capsys.readouterr().err
         assert lock.exists() and store_path.read_bytes() == before
 
+    @pytest.mark.parametrize("command", ["gen-corpus", "build-db", "compose"])
+    def test_missing_output_directory_exit_code(self, workspace, tmp_path, capsys, command):
+        corpus, store_path = workspace
+        nodir = tmp_path / "nodir"
+        some_id = StateStore.open(str(store_path)).ids()[0]
+        argv = {
+            "gen-corpus": ["gen-corpus", "--num-docs", "3", "--out", str(nodir / "c.jsonl")],
+            "build-db": ["build-db", "--corpus", str(corpus), "--store", str(nodir / "db.ssdb")],
+            "compose": ["compose", "--store", str(store_path), "--out", str(nodir / "x.ssbl"), some_id],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
+        assert not nodir.exists()
+
     def test_invalid_input_exit_code(self, tmp_path):
         assert main(["gen-corpus", "--seed", "1", "--num-docs", "0", "--out", str(tmp_path / "x")]) == 2
 

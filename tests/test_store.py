@@ -1,6 +1,7 @@
 """State database: hashing retrieval, round trips, fingerprint guard."""
 
 import json
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -14,6 +15,7 @@ from ssmcompose import (
     NotFoundError,
     TokenSequence,
     ToyModelConfig,
+    ToyModelParams,
     compose_picaso_r,
     init_params,
 )
@@ -25,6 +27,22 @@ from ssmcompose.store import (
     load_composed_state,
     save_composed_state,
 )
+
+
+def full_sort(store, query_tokens, k):
+    """Reference: score every entry with its own `np.dot`, sort all N, keep k."""
+    q = embed_text(query_tokens).v
+    scored = [
+        (cid, float(np.dot(q, embed_text(store.entry(cid).tokens).v))) for cid in store.ids()
+    ]
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored[:k]
+
+
+def _manifest(data):
+    offset = int.from_bytes(data[-20:-12], "little")
+    length = int.from_bytes(data[-12:-4], "little")
+    return json.loads(data[offset : offset + length]), offset
 
 
 @pytest.fixture()
@@ -71,6 +89,25 @@ class TestInsert:
         other = init_params(cfg, seed=99)
         with pytest.raises(ConfigMismatchError):
             store.insert(TokenSequence.from_text("x y z"), other)
+        store.insert(TokenSequence.from_text("x y z"), params)
+        with pytest.raises(ConfigMismatchError):
+            store.insert(TokenSequence.from_text("u v w"), other)
+        assert len(store) == 1
+
+    def test_fingerprint_hashed_once_per_params_object(self, model, monkeypatch):
+        _, params = model
+        store = StateStore.create(params)
+        calls = []
+        checksum = ToyModelParams.checksum
+        monkeypatch.setattr(
+            ToyModelParams, "checksum", lambda self: calls.append(self) or checksum(self)
+        )
+        for i in range(5):
+            store.insert(TokenSequence(np.arange(8) + i), params)
+        assert calls == [params]
+        twin = params.with_tensors({})  # same fingerprint, another object
+        store.insert(TokenSequence(np.arange(8) + 9), twin)
+        assert calls == [params, twin] and len(store) == 6
 
     def test_unknown_id(self, model):
         _, params = model
@@ -112,6 +149,85 @@ class TestQuery:
         assert [h[0] for h in hits] == sorted([a, b])
 
 
+class TestQueryMatchesFullSort:
+    """`query` returns exactly the (id, score) list of the full per-entry sort."""
+
+    @staticmethod
+    def _random_store(params, seed, n):
+        # A 3-letter alphabet makes 3-gram bags repeat (exact score ties), and
+        # each word is also stored as a rotation with the same bag.
+        rng = np.random.default_rng(seed)
+        store = StateStore.create(params)
+        while len(store) < n:
+            word = rng.integers(0, 3, int(rng.integers(1, 9)))
+            store.insert(TokenSequence(word), params)
+            if word.size >= 3 and word[0] == word[-2]:
+                store.insert(TokenSequence(np.roll(word, -1)), params)
+        return store
+
+    @staticmethod
+    def _queries(seed):
+        rng = np.random.default_rng(seed + 100)
+        return [TokenSequence(rng.integers(0, 3, length)) for length in (0, 1, 2, 3, 4, 6, 9, 9)]
+
+    def _check(self, store, queries):
+        n = len(store)
+        for q in queries:
+            for k in sorted({1, 3, max(n - 1, 1), max(n, 1), n + 5}):
+                assert store.query(q, k) == full_sort(store, q, k)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_stores(self, model, seed):
+        _, params = model
+        store = self._random_store(params, seed, 40)
+        ties = [
+            hits
+            for q in self._queries(seed)
+            for hits in [store.query(q, len(store))]
+            if len({score for _, score in hits}) < len(hits)
+        ]
+        assert ties  # the stores do exercise the id tie-break
+        self._check(store, self._queries(seed))
+
+    def test_empty_store(self, model):
+        _, params = model
+        self._check(StateStore.create(params), self._queries(0))
+
+    def test_insert_after_query(self, model):
+        _, params = model
+        store = self._random_store(params, 3, 20)
+        self._check(store, self._queries(3))
+        rng = np.random.default_rng(4)
+        for _ in range(100):  # grows the matrix past its first capacity
+            store.insert(TokenSequence(rng.integers(0, 4, int(rng.integers(1, 12)))), params)
+        self._check(store, self._queries(3))
+
+    def test_after_save_and_open(self, model, tmp_path):
+        _, params = model
+        store = self._random_store(params, 5, 60)
+        path = str(tmp_path / "db.ssdb")
+        store.save(path)
+        loaded = StateStore.open(path)
+        assert loaded.ids() == store.ids()
+        for q in self._queries(5):
+            for k in (1, 7, len(store) + 5):
+                assert loaded.query(q, k) == store.query(q, k) == full_sort(store, q, k)
+
+    def test_open_rebuilds_the_insert_time_vectors(self, model, tmp_path):
+        _, params = model
+        store = self._random_store(params, 6, 30)
+        inserted = np.stack([embed_text(store.entry(cid).tokens).v for cid in store.ids()])
+        path = tmp_path / "db.ssdb"
+        store.save(str(path))
+        loaded = StateStore.open(str(path))
+        assert loaded._matrix[: len(loaded)].tobytes() == inserted.tobytes()
+        assert store._matrix[: len(store)].tobytes() == inserted.tobytes()
+        manifest, _ = _manifest(path.read_bytes())
+        assert all(
+            set(row) == {"id", "offset", "length", "token_count"} for row in manifest["entries"]
+        )
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, model, tmp_path):
         _, params = model
@@ -146,20 +262,26 @@ class TestSerialization:
         runs = [json.dumps(StateStore.open(path).query(q, k=5)) for _ in range(2)]
         assert runs[0] == runs[1]
 
-    def test_rejects_format_version_1(self, model, tmp_path):
-        # Version 1 entry blobs held an extra log_decay field per layer; reading
-        # one with the version 2 layout would misplace every later field.
-        _, params = model
+    def test_rejects_older_format_versions(self, model, tmp_path):
+        # Version 1 entry blobs held an extra log_decay field per layer, and
+        # version 2 manifests stored every embedding; neither layout is read.
+        # A .ssbl file carries the store's version number, so it follows too.
+        cfg, params = model
         store = StateStore.create(params)
-        store.insert(TokenSequence(np.arange(12)), params)
-        path = tmp_path / "db.ssdb"
-        store.save(str(path))
+        ids = [store.insert(TokenSequence(np.arange(12) + i), params) for i in range(2)]
+        db, ssbl = tmp_path / "db.ssdb", tmp_path / "c.ssbl"
+        store.save(str(db))
+        save_composed_state(str(ssbl), compose_picaso_r(store.load_states(ids)), cfg)
         current = f'"format_version":{FORMAT_VERSION}'.encode()
-        data = path.read_bytes()
-        assert FORMAT_VERSION == 2 and data.count(current) == 1
-        path.write_bytes(data.replace(current, b'"format_version":1'))
-        with pytest.raises(InvalidInputError, match="version 1"):
-            StateStore.open(str(path))
+        assert FORMAT_VERSION == 3
+        for path, load in ((db, StateStore.open), (ssbl, load_composed_state)):
+            data = path.read_bytes()
+            assert data.count(current) == 1
+            load(str(path))
+            for old in (1, 2):
+                path.write_bytes(data.replace(current, f'"format_version":{old}'.encode()))
+                with pytest.raises(InvalidInputError, match=f"version {old}"):
+                    load(str(path))
 
     def test_rejects_garbage_file(self, tmp_path):
         path = tmp_path / "junk.ssdb"
@@ -185,6 +307,44 @@ class TestSerialization:
         path.write_bytes(damaged)
         with pytest.raises(InvalidInputError, match="damaged store manifest"):
             StateStore.open(str(path))
+
+    def test_rejects_duplicated_id(self, model, tmp_path):
+        _, params = model
+        store = StateStore.create(params)
+        for i in range(3):
+            store.insert(TokenSequence(np.arange(12) + i), params)
+        path = tmp_path / "db.ssdb"
+        store.save(str(path))
+        data = path.read_bytes()
+        manifest, offset = _manifest(data)
+        manifest["entries"].append(manifest["entries"][0])
+        body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+        footer = offset.to_bytes(8, "little") + len(body).to_bytes(8, "little") + b"SSDB"
+        path.write_bytes(data[:offset] + body + footer)
+        with pytest.raises(InvalidInputError, match="listed twice"):
+            StateStore.open(str(path))
+
+    def test_save_syncs_the_temp_file_before_replacing(self, model, tmp_path, monkeypatch):
+        _, params = model
+        store = StateStore.create(params)
+        store.insert(TokenSequence(np.arange(12)), params)
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def traced_fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def traced_replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", traced_fsync)
+        monkeypatch.setattr(os, "replace", traced_replace)
+        path = tmp_path / "db.ssdb"
+        store.save(str(path))
+        inode = path.stat().st_ino
+        assert events == [("fsync", inode), ("replace", inode)]
 
     def test_stale_lock_is_a_typed_error(self, model, tmp_path):
         _, params = model
